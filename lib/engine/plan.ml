@@ -22,13 +22,13 @@ type t = {
   ct : Compiled.t;
   input : input;
   choice : choice;
-  facts : (string * string) list;
+  facts : unit -> (string * string) list;  (* built only when printed *)
   why : string;
 }
 
 let choice p = p.choice
 let input p = p.input
-let rationale p = (p.facts, p.why)
+let rationale p = (p.facts (), p.why)
 
 (* A matrix sweep costs O(nodes) boolean products against the O(bytes)
    dense-table scan; below this compression ratio the products lose. *)
@@ -49,6 +49,11 @@ let fits input (c : choice) =
   | Session _, `Incr -> true
   | _ -> false
 
+(* [make] computes only what the choice needs — for the compressed
+   shapes, bytes and nodes (an O(|S|) walk for [Slp_node] and [Db]) —
+   and captures it.  Every other fact is built on demand by
+   [rationale]/[pp], so a plan that is only executed (a session read,
+   one batch job) never pays for explain's printout. *)
 let make ?force ct input =
   let pick auto = match force with None -> auto | Some c -> c in
   (match force with
@@ -59,28 +64,31 @@ let make ?force ct input =
     match input with
     | Doc doc ->
         ( pick `Compiled,
-          [ ("input", "plain document"); ("bytes", string_of_int (String.length doc)) ],
+          (fun () ->
+            [ ("input", "plain document"); ("bytes", string_of_int (String.length doc)) ]),
           "uncompressed input: one linear dense-table pass, nothing to share" )
     | Docs docs ->
-        let bytes = Array.fold_left (fun n (_, d) -> n + String.length d) 0 docs in
         ( pick `Compiled,
-          [
-            ("input", "plain documents");
-            ("documents", string_of_int (Array.length docs));
-            ("bytes", string_of_int bytes);
-          ],
+          (fun () ->
+            let bytes = Array.fold_left (fun n (_, d) -> n + String.length d) 0 docs in
+            [
+              ("input", "plain documents");
+              ("documents", string_of_int (Array.length docs));
+              ("bytes", string_of_int bytes);
+            ]),
           "plain files: compile once, parallel dense-table pass per document" )
     | Slp_node (store, id) ->
         let bytes = Slp.len store id and nodes = Slp.reachable_size store id in
         let r = ratio bytes nodes in
         let auto = if r >= sweep_threshold then `Compressed else `Decompress in
         ( pick auto,
-          [
-            ("input", "SLP document");
-            ("bytes", string_of_int bytes);
-            ("nodes", string_of_int nodes);
-            ("ratio", pp_ratio r);
-          ],
+          (fun () ->
+            [
+              ("input", "SLP document");
+              ("bytes", string_of_int bytes);
+              ("nodes", string_of_int nodes);
+              ("ratio", pp_ratio r);
+            ]),
           if r >= sweep_threshold then
             "compressible: the matrix sweep is linear in SLP nodes, not in the text"
           else "barely compressible: decompress-then-scan beats the matrix products" )
@@ -89,13 +97,14 @@ let make ?force ct input =
         let r = ratio bytes nodes in
         let auto = if r >= sweep_threshold then `Compressed else `Decompress in
         ( pick auto,
-          [
-            ("input", "document database");
-            ("documents", string_of_int (List.length (Doc_db.names db)));
-            ("bytes", string_of_int bytes);
-            ("shared nodes", string_of_int nodes);
-            ("ratio", pp_ratio r);
-          ],
+          (fun () ->
+            [
+              ("input", "document database");
+              ("documents", string_of_int (List.length (Doc_db.names db)));
+              ("bytes", string_of_int bytes);
+              ("shared nodes", string_of_int nodes);
+              ("ratio", pp_ratio r);
+            ]),
           if r >= sweep_threshold then
             "compressible: one shared sweep covers every document, enumeration fans out"
           else "barely compressible: decompress-then-scan beats the matrix products" )
@@ -104,36 +113,41 @@ let make ?force ct input =
         let r = ratio bytes nodes in
         let auto = if r >= sweep_threshold then `Compressed else `Decompress in
         ( pick auto,
-          [
-            ("input", "packed corpus");
-            ("shards", string_of_int (Corpus.shard_count c));
-            ("documents", string_of_int (Corpus.doc_count c));
-            ("bytes", string_of_int bytes);
-            ("nodes", string_of_int nodes);
-            ("ratio", pp_ratio r);
-            ("mapped", string_of_int (Corpus.mapped_bytes c) ^ " bytes");
-          ],
+          (fun () ->
+            [
+              ("input", "packed corpus");
+              ("shards", string_of_int (Corpus.shard_count c));
+              ("documents", string_of_int (Corpus.doc_count c));
+              ("bytes", string_of_int bytes);
+              ("nodes", string_of_int nodes);
+              ("ratio", pp_ratio r);
+              ("mapped", string_of_int (Corpus.mapped_bytes c) ^ " bytes");
+            ]),
           if r >= sweep_threshold then
             "packed shards: per-shard sweeps run over the mapped columns, shard-parallel"
           else "barely compressible: decompress-then-scan beats the matrix products" )
     | Session (s, name) ->
-        let db = Incr.database s in
-        let store = Doc_db.store db in
-        let id = Doc_db.find db name in
-        let st = Incr.stats s in
+        (* the choice is fixed, so nothing is resolved here: the
+           document (and its O(|S|) reachable-node count) is read when
+           the facts are printed, as the cursor reads it when created *)
         ( pick `Incr,
-          [
-            ("input", "CDE session");
-            ("document", name);
-            ("bytes", string_of_int (Slp.len store id));
-            ("nodes", string_of_int (Slp.reachable_size store id));
-            ( "cached summaries",
-              Printf.sprintf "%d/%d" st.Incr.entries st.Incr.capacity );
-          ],
+          (fun () ->
+            let db = Incr.database s in
+            let store = Doc_db.store db in
+            let id = Doc_db.find db name in
+            let st = Incr.stats s in
+            [
+              ("input", "CDE session");
+              ("document", name);
+              ("bytes", string_of_int (Slp.len store id));
+              ("nodes", string_of_int (Slp.reachable_size store id));
+              ( "cached summaries",
+                Printf.sprintf "%d/%d" st.Incr.entries st.Incr.capacity );
+            ]),
           "live session: cached per-node summaries price re-evaluation at new nodes only" )
   in
   let why = match force with None -> why | Some _ -> "forced by --engine: " ^ why in
-  { ct; input; choice; facts = spanner_fact ct :: facts; why }
+  { ct; input; choice; facts = (fun () -> spanner_fact ct :: facts ()); why }
 
 let choice_name = function
   | `Compiled -> "compiled"
@@ -143,7 +157,7 @@ let choice_name = function
 
 let pp ppf p =
   Format.fprintf ppf "plan: %s@." (choice_name p.choice);
-  List.iter (fun (k, v) -> Format.fprintf ppf "  %s: %s@." k v) p.facts;
+  List.iter (fun (k, v) -> Format.fprintf ppf "  %s: %s@." k v) (p.facts ());
   Format.fprintf ppf "  why: %s@." p.why
 
 (* ------------------------------------------------------------------ *)

@@ -52,7 +52,9 @@ type t
     decompress-then-evaluate baseline is cheaper; a session always
     evaluates incrementally from its summary cache.  [force] overrides
     the choice (the CLI's explicit [--engine] flag), recorded in the
-    rationale.
+    rationale.  Only what the choice needs is computed here (bytes and
+    nodes of the compressed shapes); on a [Session] input [make] is
+    O(1) and resolves nothing.
     @raise Invalid_argument when [force] does not fit the shape
     (e.g. [`Incr] without a session). *)
 val make : ?force:choice -> Compiled.t -> input -> t
@@ -62,11 +64,16 @@ val input : t -> input
 
 (** [rationale p] is the planner's evidence: labelled facts (input
     shape, sizes, compression ratio, automaton dimensions, cache
-    state) followed by a one-line justification. *)
+    state) followed by a one-line justification.  The facts are
+    computed on demand, on every call: the sizes the choice was made
+    from are the ones {!make} captured, and everything else is read
+    now — a [Session] plan resolves its document and walks it for
+    [nodes] here, against the session's current state. *)
 val rationale : t -> (string * string) list * string
 
 (** [pp ppf p] prints the plan — choice, facts, justification — in the
-    stable format [spanner-cli explain] locks in its cram test. *)
+    stable format [spanner-cli explain] locks in its cram test.  Like
+    {!rationale}, it computes the facts on demand. *)
 val pp : Format.formatter -> t -> unit
 
 (** {1 Execution} *)

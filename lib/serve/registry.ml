@@ -25,30 +25,37 @@
      makes it worthwhile, the request gets a native SLP cursor
      (Slp_spanner over the frozen snapshot) whose per-tuple delay is
      independent of the decompressed length — no decompression at
-     all.  The prepared engines are themselves shared artefacts,
-     cached per (query, store snapshot) so repeat queries skip the
-     matrix sweep.  Everything else falls back to the *decompressed*
-     text through the compiled/optimized engines; the text is
-     decompressed from the frozen snapshot once (metered by the
-     requesting gauge) and kept in a bounded LRU keyed by
-     (store, generation, doc, root id).  Root ids alone are not a
-     safe key: LOAD DOC reuses one Doc_db whose ids are monotonic,
-     but LOAD PATH installs a brand-new Doc_db whose ids restart
-     from scratch, so a reloaded store could collide with cached
-     entries from the snapshot it replaced.  The generation — bumped
-     every time a store's Doc_db is (re)created — disambiguates, so
-     stale text (or a stale engine) can never serve: engine keys add
-     the snapshot's node count, because LOAD DOC refreshes a heap
-     store's snapshot without bumping the generation.
+     all.  Whether a document is worthwhile is a fact of its root, so
+     it is decided once per (store generation, shard, root), on the
+     root's first query, and memoized in the store entry: SLP nodes
+     never change once built, and a reload installs a new entry.  The
+     prepared engines are themselves shared artefacts, cached per
+     (query, store snapshot, shard) so repeat queries skip the matrix
+     sweep.  Everything else falls back to the *decompressed* text
+     through the compiled/optimized engines; the text is decompressed
+     from the frozen snapshot once (metered by the requesting gauge)
+     and kept in a bounded LRU keyed by (store, generation, doc, root
+     id).  Root ids alone are not a safe key: LOAD DOC reuses one
+     Doc_db whose ids are monotonic, but LOAD PATH installs a
+     brand-new Doc_db whose ids restart from scratch, so a reloaded
+     store could collide with cached entries from the snapshot it
+     replaced.  The generation — bumped every time a store's Doc_db
+     is (re)created — disambiguates, so stale text (or a stale
+     engine) can never serve.  Engine keys add the shard index, since
+     two shards of one manifest may number their roots alike and hold
+     equally many nodes, and the snapshot's node count, because LOAD
+     DOC refreshes a heap store's snapshot without bumping the
+     generation.
 
    Plans are compiled under the server's *default* limits and fuse
    budget: compilation is a shared, cached artefact and must not vary
    per request (a per-request max-states override governs only that
    request's evaluation gauge).
 
-   Locking: one registry mutex guards the name/store tables; the two
-   LRUs are Locked_lru and guard themselves; compilation and
-   decompression run outside any lock. *)
+   Locking: one registry mutex guards the name/store tables and each
+   store's gate memo; the LRUs are Locked_lru and guard themselves;
+   compilation, decompression and the gate's one-time walk run
+   outside any lock. *)
 
 open Spanner_core
 module Limits = Spanner_util.Limits
@@ -79,6 +86,9 @@ type backing = Heap of heap_backing | Mapped of Corpus.t
 type store_entry = {
   backing : backing;
   gen : int;  (* bumped per backing (re)creation; text-cache key component *)
+  gate : (int * Slp.id, bool) Hashtbl.t;
+      (* (shard, root) -> the native-path decision, made by the first
+         query of that root; guarded by the registry [mutex] *)
 }
 
 type t = {
@@ -87,9 +97,9 @@ type t = {
   stores : (string, store_entry) Hashtbl.t;
   plans : (string, Optimizer.t) Locked_lru.t;  (* normalized text -> compiled plan *)
   texts : (string * int * string * Slp.id, string) Locked_lru.t;
-  (* prepared native engines: (normalized query, store, gen, snapshot
-     node count) -> engine over the store's frozen snapshot *)
-  engines : (string * string * int * int, Slp_spanner.engine) Locked_lru.t;
+  (* prepared native engines: (normalized query, store, gen, shard,
+     snapshot node count) -> engine over that shard's frozen snapshot *)
+  engines : (string * string * int * int * int, Slp_spanner.engine) Locked_lru.t;
   prep : Mutex.t;  (* serializes engine preparation (matrix sweeps) *)
   defaults : Limits.t;
   fuse_states : int option;
@@ -208,6 +218,7 @@ let load_doc t ~store ~doc ~text =
               {
                 backing = Heap { db; frozen = Slp.freeze (Doc_db.store db); docs = [] };
                 gen;
+                gate = Hashtbl.create 16;
               }
             in
             Hashtbl.add t.stores store e;
@@ -251,37 +262,36 @@ let load_path t ~store ~path =
          snapshot's cached texts would collide without a new gen *)
       let gen = t.next_gen in
       t.next_gen <- gen + 1;
-      Hashtbl.replace t.stores store { backing; gen });
+      Hashtbl.replace t.stores store { backing; gen; gate = Hashtbl.create 16 });
   ndocs
 
-(* [resolve t ~store ~doc] is the frozen snapshot, store generation
-   and root of one document, as of now — immutable, so safe to
-   evaluate against on any domain while later LOADs move the entry
-   forward. *)
-let resolve t ~store ~doc =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.stores store with
-      | None -> Limits.eval_failure ~what:"query" (Printf.sprintf "unknown store %S" store)
-      | Some entry -> (
-          let missing () =
-            Limits.eval_failure ~what:"query"
-              (Printf.sprintf "unknown document %S in store %S" doc store)
-          in
-          match entry.backing with
-          | Heap h -> (
-              match List.assoc_opt doc h.docs with
-              | None -> missing ()
-              | Some id -> (h.frozen, entry.gen, id))
-          | Mapped c -> (
-              (* the mapped columns are the snapshot: the frozen view
-                 reads the file in place, no deserialization *)
-              match Corpus.find c doc with
-              | None -> missing ()
-              | Some (si, root) -> (Arena.frozen_view (Corpus.shards c).(si), entry.gen, root))))
+(* [resolve_locked t ~store ~doc] is the store entry, frozen snapshot,
+   shard and root of one document, as of now — the snapshot is
+   immutable, so safe to evaluate against on any domain while later
+   LOADs move the entry forward.  Caller holds [t.mutex]. *)
+let resolve_locked t ~store ~doc =
+  match Hashtbl.find_opt t.stores store with
+  | None -> Limits.eval_failure ~what:"query" (Printf.sprintf "unknown store %S" store)
+  | Some entry -> (
+      let missing () =
+        Limits.eval_failure ~what:"query"
+          (Printf.sprintf "unknown document %S in store %S" doc store)
+      in
+      match entry.backing with
+      | Heap h -> (
+          match List.assoc_opt doc h.docs with
+          | None -> missing ()
+          | Some id -> (entry, h.frozen, 0, id))
+      | Mapped c -> (
+          (* the mapped columns are the snapshot: the frozen view
+             reads the file in place, no deserialization *)
+          match Corpus.find c doc with
+          | None -> missing ()
+          | Some (si, root) -> (entry, Arena.frozen_view (Corpus.shards c).(si), si, root)))
 
 let doc_text t ~gauge ~store ~doc =
-  let frozen, gen, id = resolve t ~store ~doc in
-  Locked_lru.find_or_add t.texts (store, gen, doc, id) (fun () ->
+  let entry, frozen, _, id = locked t (fun () -> resolve_locked t ~store ~doc) in
+  Locked_lru.find_or_add t.texts (store, entry.gen, doc, id) (fun () ->
       Slp.frozen_to_string ~gauge frozen id)
 
 (* ------------------------------------------------------------------ *)
@@ -325,25 +335,55 @@ let reachable_within frozen id budget =
    constant-delay cursor over the compressed document, or [None] when
    the request must fall back to decompressed text: the plan did not
    fuse to a single automaton, or the document's compression ratio is
-   too low to be worth it.  The engine (automaton × store snapshot) is
-   cached and its matrix sweep — metered by the requesting [gauge],
-   resumable if it trips — runs under one preparation lock; after the
-   sweep, the returned cursor only reads filled slots and the frozen
-   snapshot, so it is safe to drain on any domain while later requests
-   prepare other roots.  The snapshot node count joins the cache key
-   because LOAD DOC refreshes a heap snapshot without bumping [gen]. *)
+   too low to be worth it.
+
+   The ratio gate is decided once per (store generation, shard, root):
+   the first query of a root walks it (outside the registry lock —
+   racing misses compute the same bool) and records the decision in
+   the store entry's [gate] table; every later query reads it under
+   the one registry-lock acquisition [resolve_locked] already needs.
+   That is sound because SLP nodes are immutable: heap stores are
+   hash-consed and append-only (LOAD DOC adds nodes, never changes
+   one), arenas are read-only mappings, and LOAD PATH installs a fresh
+   entry, so the memo dies with the snapshot it describes.  A walk
+   that raises (a corrupt arena column) records nothing, so the typed
+   error repeats on every request.
+
+   The engine (automaton × shard snapshot) is cached and its matrix
+   sweep — metered by the requesting [gauge], resumable if it trips —
+   runs under one preparation lock; after the sweep, the returned
+   cursor only reads filled slots and the frozen snapshot, so it is
+   safe to drain on any domain while later requests prepare other
+   roots.  The shard index joins the engine key because two shards of
+   one manifest can have equal node counts, and the snapshot node
+   count because LOAD DOC refreshes a heap snapshot without bumping
+   [gen]. *)
 let native_cursor t ~gauge ~normalized ~store ~doc plan =
   match Optimizer.compiled plan with
   | None -> None
   | Some ct ->
-      let frozen, gen, id = resolve t ~store ~doc in
-      let nodes = Slp.frozen_size frozen in
-      let budget = int_of_float (float_of_int (Slp.frozen_len frozen id) /. native_min_ratio) in
-      if reachable_within frozen id budget = None then None
+      let entry, frozen, shard, id, memo =
+        locked t (fun () ->
+            let entry, frozen, shard, id = resolve_locked t ~store ~doc in
+            (entry, frozen, shard, id, Hashtbl.find_opt entry.gate (shard, id)))
+      in
+      let native =
+        match memo with
+        | Some native -> native
+        | None ->
+            let budget =
+              int_of_float (float_of_int (Slp.frozen_len frozen id) /. native_min_ratio)
+            in
+            let native = reachable_within frozen id budget <> None in
+            locked t (fun () -> Hashtbl.replace entry.gate (shard, id) native);
+            native
+      in
+      if not native then None
       else begin
         let engine =
-          Locked_lru.find_or_add t.engines (normalized, store, gen, nodes) (fun () ->
-              Slp_spanner.of_frozen ct frozen)
+          Locked_lru.find_or_add t.engines
+            (normalized, store, entry.gen, shard, Slp.frozen_size frozen)
+            (fun () -> Slp_spanner.of_frozen ct frozen)
         in
         Mutex.lock t.prep;
         (match Slp_spanner.prepare_gauge gauge engine id with
@@ -425,3 +465,18 @@ let cache_stats lru =
 let plan_cache_stats t = cache_stats t.plans
 let doc_cache_stats t = cache_stats t.texts
 let engine_cache_stats t = cache_stats t.engines
+
+(* one count per memoized (shard, root) of the current store entries:
+   a running server's native share, by decision *)
+type gate_stats = { native : int; fallback : int }
+
+let gate_stats t =
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun _ (e : store_entry) acc ->
+          Hashtbl.fold
+            (fun _ native acc ->
+              if native then { acc with native = acc.native + 1 }
+              else { acc with fallback = acc.fallback + 1 })
+            e.gate acc)
+        t.stores { native = 0; fallback = 0 })

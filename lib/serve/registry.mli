@@ -89,8 +89,11 @@ val doc_text :
     ({!Spanner_engine.Optimizer.compiled} is [None]), or the
     document's compression ratio (derived length over {e reachable}
     node count, decided by a budgeted walk that stops as soon as the
-    answer is known) is below the break-even threshold.  The prepared engine is
-    cached per (normalized query, store snapshot); the matrix sweep on
+    answer is known) is below the break-even threshold.  The ratio is
+    decided once per (store generation, shard, root), on the root's
+    first query, and read from the store's memo afterwards; a walk
+    that raises is not memoized.  The prepared engine is cached per
+    (normalized query, store snapshot, shard); the matrix sweep on
     a miss — or the incremental sweep when a LOAD added nodes — is
     charged to [gauge] and serialized under one preparation lock,
     after which the cursor only reads immutable state and may be
@@ -141,3 +144,10 @@ type cache_stats = {
 val plan_cache_stats : t -> cache_stats
 val doc_cache_stats : t -> cache_stats
 val engine_cache_stats : t -> cache_stats
+
+(** The native-path gate's memo: how many (shard, root) pairs of the
+    current stores have been decided, by decision ({!native_cursor}
+    decides each root once, on its first query). *)
+type gate_stats = { native : int; fallback : int }
+
+val gate_stats : t -> gate_stats

@@ -188,6 +188,9 @@ let handle_stats ctx c =
   Printf.bprintf b "%s\n" (cache_line "doc_cache" (Registry.doc_cache_stats ctx.registry));
   Printf.bprintf b "%s\n"
     (cache_line "engine_cache" (Registry.engine_cache_stats ctx.registry));
+  let g = Registry.gate_stats ctx.registry in
+  Printf.bprintf b "native_gate: native=%d fallback=%d\n" g.Registry.native
+    g.Registry.fallback;
   List.iter
     (fun (i : Registry.store_info) ->
       Printf.bprintf b "store %s: kind=%s docs=%d shards=%d mapped=%d resident=%d\n"

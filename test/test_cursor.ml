@@ -286,9 +286,15 @@ let test_plan_choices () =
   let big = Balance.rebalance store (Builder.lz78 store (String.concat "" (List.init 256 (fun _ -> "ab")))) in
   check_choice "high ratio -> compressed" `Compressed
     (Plan.make ct (Plan.Slp_node (store, big)));
-  let session, _ = incr_fixture xyz "ababbab" in
-  check_choice "session -> incr" `Incr
-    (Plan.make ct (Plan.Session (session, "doc")));
+  let session, id = incr_fixture xyz "ababbab" in
+  let sp = Plan.make ct (Plan.Session (session, "doc")) in
+  check_choice "session -> incr" `Incr sp;
+  (* make no longer walks the session's document; rationale still
+     reports its reachable nodes, computed on demand *)
+  Alcotest.(check (option string))
+    "session rationale lists nodes"
+    (Some (string_of_int (Slp.reachable_size (Doc_db.store (Incr.database session)) id)))
+    (List.assoc_opt "nodes" (fst (Plan.rationale sp)));
   check_choice "force overrides ratio" `Compressed
     (Plan.make ~force:`Compressed ct (Plan.Slp_node (store, small)));
   Alcotest.check_raises "force must fit the shape"

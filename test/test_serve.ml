@@ -4,6 +4,16 @@
 
 open Spanner_serve
 module Limits = Spanner_util.Limits
+module Slp = Spanner_slp.Slp
+module Doc_db = Spanner_slp.Doc_db
+module Serialize = Spanner_slp.Serialize
+module Arena = Spanner_store.Arena
+module Corpus = Spanner_store.Corpus
+module Compiled = Spanner_core.Compiled
+module Span_relation = Spanner_core.Span_relation
+module Regex_formula = Spanner_core.Regex_formula
+module Cursor = Spanner_engine.Cursor
+module Optimizer = Spanner_engine.Optimizer
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -162,6 +172,35 @@ let scheduler_propagates_exn () =
 
 let registry () = Registry.create ~defaults:Limits.none ()
 
+let pairs_body = "[ab]*!x{ab}[ab]*"
+let pairs_ct = Compiled.of_formula (Regex_formula.parse pairs_body)
+
+(* [native_relation r ~store ~doc] is the drained native cursor of the
+   pairs query, or [None] when the registry falls back to text *)
+let native_relation r ~store ~doc =
+  let normalized, plan = Registry.plan_normalized r (Protocol.Inline pairs_body) in
+  Option.map Cursor.to_relation
+    (Registry.native_cursor r ~gauge:(Limits.unlimited ()) ~normalized ~store ~doc plan)
+
+(* the gate's contract, decided on an independent store: native exactly
+   when the document's reachable nodes are at most half its length *)
+let compressible text =
+  let db = Doc_db.create () in
+  let id = Doc_db.add_string db "d" text in
+  Slp.reachable_size (Doc_db.store db) id <= String.length text / 2
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "spanner-serve" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f dir)
+
+let rep unit k = String.concat "" (List.init k (fun _ -> unit))
+
 let registry_define_and_plan () =
   let r = registry () in
   let p1 = Registry.define r ~name:"q" ~body:"[ab]*!x{ab}[ab]*" in
@@ -199,19 +238,42 @@ let registry_load_path_generation () =
   (* LOAD PATH installs a brand-new Doc_db whose root ids restart
      from zero, so a reloaded document can collide with the replaced
      snapshot's cached (store, doc, id): the per-store generation in
-     the text-cache key is what keeps stale text from serving *)
+     the text-cache key is what keeps stale text from serving, and the
+     per-entry gate memo what keeps a stale native decision from
+     routing it *)
   let r = registry () in
-  let write text =
-    let db = Spanner_slp.Doc_db.create () in
-    ignore (Spanner_slp.Doc_db.add_string db "d" text);
+  let write_db db =
     let path = Filename.temp_file "spanner-slpdb" ".slpdb" in
-    Spanner_slp.Serialize.write_file db path;
+    Serialize.write_file db path;
     path
+  in
+  let write text =
+    let db = Doc_db.create () in
+    ignore (Doc_db.add_string db "d" text);
+    write_db db
+  in
+  (* hand-built "d" roots with equal ids: a doubling chain, (ab)^64 in
+     9 nodes, and a comb of the same 9 nodes deriving only 10 bytes *)
+  let write_built grow =
+    let db = Doc_db.create () in
+    let st = Doc_db.store db in
+    let a = Slp.leaf st 'a' and b = Slp.leaf st 'b' in
+    let root = ref (Slp.pair st a b) in
+    for i = 1 to 6 do
+      root := grow st !root (if i mod 2 = 1 then a else b)
+    done;
+    Doc_db.add db "d" !root;
+    (write_db db, Slp.to_string st !root)
   in
   (* same length and structure: both snapshots give "d" the same id *)
   let p1 = write "aaaa" and p2 = write "bbbb" in
+  let (p3, _), (p4, comb_text) =
+    ( write_built (fun st n _ -> Slp.pair st n n),
+      write_built (fun st n leaf -> Slp.pair st n leaf) )
+  in
   Fun.protect
-    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ p1; p2 ])
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ p1; p2; p3; p4 ])
     (fun () ->
       let gauge = Limits.unlimited () in
       check Alcotest.int "one doc" 1 (Registry.load_path r ~store:"s" ~path:p1);
@@ -219,24 +281,42 @@ let registry_load_path_generation () =
         (Registry.doc_text r ~gauge ~store:"s" ~doc:"d");
       check Alcotest.int "reloaded" 1 (Registry.load_path r ~store:"s" ~path:p2);
       check Alcotest.string "reload must not serve stale text" "bbbb"
-        (Registry.doc_text r ~gauge ~store:"s" ~doc:"d"))
+        (Registry.doc_text r ~gauge ~store:"s" ~doc:"d");
+      check Alcotest.int "roots collide across the two files"
+        (Doc_db.find (Serialize.read_file p3) "d")
+        (Doc_db.find (Serialize.read_file p4) "d");
+      ignore (Registry.load_path r ~store:"s" ~path:p3);
+      check Alcotest.bool "compressible d goes native" true
+        (native_relation r ~store:"s" ~doc:"d" <> None);
+      ignore (Registry.load_path r ~store:"s" ~path:p4);
+      check Alcotest.bool "incompressible d under the same name falls back" true
+        (native_relation r ~store:"s" ~doc:"d" = None);
+      let text = Registry.doc_text r ~gauge ~store:"s" ~doc:"d" in
+      check Alcotest.string "fallback reads the new text" comb_text text;
+      check Alcotest.bool "and answers it" true
+        (Span_relation.equal
+           (Cursor.to_relation
+              (Optimizer.cursor (Registry.plan r (Protocol.Inline pairs_body)) text))
+           (Compiled.eval pairs_ct comb_text)))
 
 let registry_native_cursor () =
-  let module Cursor = Spanner_engine.Cursor in
-  let module Optimizer = Spanner_engine.Optimizer in
-  let module Span_relation = Spanner_core.Span_relation in
   let r = registry () in
-  let body = "[ab]*!x{ab}[ab]*" in
   let gauge () = Limits.unlimited () in
   (* a highly repetitive document compresses far past the break-even
      ratio, so the query must go native — no decompression *)
-  let big = String.concat "" (List.init 512 (fun _ -> "ab")) in
+  let big = rep "ab" 512 in
   ignore (Registry.load_doc r ~store:"s" ~doc:"big" ~text:big);
   ignore (Registry.load_doc r ~store:"s" ~doc:"tiny" ~text:"abab");
-  let normalized, plan = Registry.plan_normalized r (Protocol.Inline body) in
+  let normalized, plan = Registry.plan_normalized r (Protocol.Inline pairs_body) in
   let native doc =
     Registry.native_cursor r ~gauge:(gauge ()) ~normalized ~store:"s" ~doc plan
   in
+  let gate () =
+    let g = Registry.gate_stats r in
+    (g.Registry.native, g.Registry.fallback)
+  in
+  let pair_int = Alcotest.(pair int int) in
+  check pair_int "nothing decided before the first query" (0, 0) (gate ());
   (match native "big" with
   | None -> Alcotest.fail "compressible doc must take the native path"
   | Some cursor ->
@@ -254,14 +334,18 @@ let registry_native_cursor () =
   | Some cursor -> ignore (Cursor.to_list cursor));
   check Alcotest.int "repeat query hits the engine cache" 1
     (Registry.engine_cache_stats r).Registry.hits;
-  (* the tiny document barely compresses: decompressed-text fallback *)
+  check pair_int "one root decided, once" (1, 0) (gate ());
+  (* the tiny document barely compresses: decompressed-text fallback,
+     on the first query and on every repeat *)
   check Alcotest.bool "incompressible doc falls back" true (native "tiny" = None);
+  check Alcotest.bool "and keeps falling back" true (native "tiny" = None);
+  check pair_int "fallback decided once" (1, 1) (gate ());
   (* LOAD DOC refreshes the snapshot without bumping the generation:
      the node count in the engine key must keep the old engine from
      serving a root it cannot see *)
-  let big2 = String.concat "" (List.init 512 (fun _ -> "ba")) in
+  let big2 = rep "ba" 512 in
   ignore (Registry.load_doc r ~store:"s" ~doc:"big2" ~text:big2);
-  match native "big2" with
+  (match native "big2" with
   | None -> Alcotest.fail "refreshed snapshot must still go native"
   | Some cursor ->
       let oracle =
@@ -269,7 +353,189 @@ let registry_native_cursor () =
           (Optimizer.cursor plan (Registry.doc_text r ~gauge:(gauge ()) ~store:"s" ~doc:"big2"))
       in
       check Alcotest.bool "post-reload native stream is fresh" true
-        (Span_relation.equal (Cursor.to_relation cursor) oracle)
+        (Span_relation.equal (Cursor.to_relation cursor) oracle));
+  (* the memo survives LOAD DOC: nodes are append-only, so "big"'s
+     root still derives the same text from the new snapshot *)
+  check Alcotest.bool "big still native after the refresh" true (native "big" <> None);
+  check pair_int "refresh decided only the new root" (2, 1) (gate ())
+
+let registry_engine_per_shard () =
+  (* two same-shape documents over swapped letters pack into two
+     shards with equal node counts; an engine key without the shard
+     index answers the second shard from the first shard's matrices *)
+  with_temp_dir @@ fun dir ->
+  let t0 = rep "ab" 256 in
+  let t1 = String.map (function 'a' -> 'b' | _ -> 'a') t0 in
+  let db = Doc_db.create () in
+  ignore (Doc_db.add_string db "d0" t0);
+  ignore (Doc_db.add_string db "d1" t1);
+  let path = Filename.concat dir "corpus" in
+  ignore (Corpus.pack db ~shards:2 path);
+  let shards = Corpus.shards (Corpus.open_path path) in
+  check Alcotest.int "shards hold equally many nodes" (Arena.node_count shards.(0))
+    (Arena.node_count shards.(1));
+  let r = registry () in
+  check Alcotest.int "both documents loaded" 2 (Registry.load_path r ~store:"p" ~path);
+  List.iter
+    (fun (doc, text) ->
+      match native_relation r ~store:"p" ~doc with
+      | None -> Alcotest.fail (doc ^ " must take the native path")
+      | Some rel ->
+          check Alcotest.bool (doc ^ " ≡ Compiled.eval on its text") true
+            (Span_relation.equal rel (Compiled.eval pairs_ct text)))
+    [ ("d0", t0); ("d1", t1) ];
+  check Alcotest.int "one engine per shard" 2 (Registry.engine_cache_stats r).Registry.misses
+
+let registry_corrupt_arena_not_memoized () =
+  (* node-column damage passes the O(1) open and surfaces as a typed
+     error during the gate's walk; a raising walk decides nothing, so
+     every later request gets the same error, not a memoized route *)
+  with_temp_dir @@ fun dir ->
+  let db = Doc_db.create () in
+  let root = Doc_db.add_string db "d" (rep "ab" 256) in
+  let path = Filename.concat dir "d.slpar" in
+  Arena.write_file (Doc_db.store db) [ ("d", root) ] path;
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let damaged = Bytes.of_string bytes in
+  (* byte 1 of node 0's left word: the leaf byte leaves [0, 255] *)
+  Bytes.set damaged 65 (Char.chr (Char.code (Bytes.get damaged 65) lxor 0xff));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc damaged);
+  let r = registry () in
+  ignore (Registry.load_path r ~store:"a" ~path);
+  for attempt = 1 to 3 do
+    match native_relation r ~store:"a" ~doc:"d" with
+    | _ -> Alcotest.failf "attempt %d: corrupt columns must raise" attempt
+    | exception Limits.Spanner_error (Limits.Corrupt_input _) -> ()
+  done;
+  let g = Registry.gate_stats r in
+  check Alcotest.(pair int int) "nothing memoized" (0, 0)
+    (g.Registry.native, g.Registry.fallback)
+
+(* Random documents on both sides of ratio 2, loaded three ways (LOAD
+   DOC into a heap store, an SLPDB LOAD PATH, a packed LOAD PATH over
+   1–3 shards): on the first query and on the repeats the memo
+   serves, the registry goes native exactly when the independent
+   reachable-size oracle says so, and every native answer is the
+   Compiled.eval answer. *)
+let gate_text_gen =
+  let open QCheck2.Gen in
+  let ab = map (fun b -> if b then 'a' else 'b') bool in
+  oneof
+    [
+      (let* unit = string_size ~gen:ab (int_range 1 5) and* k = int_range 2 120 in
+       return (rep unit k));
+      string_size ~gen:ab (int_range 1 80);
+      (let* unit = string_size ~gen:ab (int_range 1 3)
+       and* k = int_range 2 40
+       and* tail = string_size ~gen:ab (int_range 1 40) in
+       return (rep unit k ^ tail));
+    ]
+
+let gate_memo_differential () =
+  let sides = Array.make 2 0 in
+  let prop (texts, shards) =
+    with_temp_dir @@ fun dir ->
+    let docs = List.mapi (fun i t -> (Printf.sprintf "d%d" i, t)) texts in
+    let db = Doc_db.create () in
+    List.iter (fun (n, t) -> ignore (Doc_db.add_string db n t)) docs;
+    let slpdb = Filename.concat dir "db.slpdb" and packed = Filename.concat dir "corpus" in
+    Serialize.write_file db slpdb;
+    ignore (Corpus.pack db ~shards packed);
+    let r = registry () in
+    List.iter (fun (n, t) -> ignore (Registry.load_doc r ~store:"h" ~doc:n ~text:t)) docs;
+    ignore (Registry.load_path r ~store:"f" ~path:slpdb);
+    ignore (Registry.load_path r ~store:"p" ~path:packed);
+    List.for_all
+      (fun (doc, text) ->
+        let want = compressible text in
+        let oracle = Compiled.eval pairs_ct text in
+        sides.(Bool.to_int want) <- sides.(Bool.to_int want) + 1;
+        List.for_all
+          (fun store ->
+            List.for_all
+              (fun _ ->
+                match native_relation r ~store ~doc with
+                | None -> not want
+                | Some rel -> want && Span_relation.equal rel oracle)
+              [ 1; 2; 3 ])
+          [ "h"; "f"; "p" ])
+      docs
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~name:"gate memo ≡ reachable-size oracle" ~count:40
+       ~print:(fun (texts, shards) ->
+         Printf.sprintf "shards=%d [%s]" shards (String.concat "; " texts))
+       QCheck2.Gen.(pair (list_size (int_range 2 5) gate_text_gen) (int_range 1 3))
+       prop);
+  check Alcotest.bool "some documents went native" true (sides.(1) > 0);
+  check Alcotest.bool "some documents fell back" true (sides.(0) > 0)
+
+(* Two domains query shared roots through native_cursor and drain the
+   cursors while a systhread LOAD DOCs new documents into the same
+   store (new snapshots, new engine keys); at the end both domains
+   miss on one fresh root at once.  Every answer is checked against
+   the single-domain Compiled.eval oracle. *)
+let registry_two_domain_stress () =
+  let r = registry () in
+  let shared =
+    [|
+      ("s0", rep "ab" 200); ("s1", rep "abb" 150); ("s2", rep "ba" 180); ("s3", rep "aab" 120);
+    |]
+  in
+  let later =
+    Array.init 6 (fun i ->
+        (Printf.sprintf "n%d" i, rep (if i mod 2 = 0 then "ab" else "bba") (100 + (17 * i))))
+  in
+  let fresh = ("fresh", rep "abab" 90 ^ "b") in
+  let oracle = Hashtbl.create 16 in
+  Array.iter
+    (fun (n, t) -> Hashtbl.replace oracle n (compressible t, Compiled.eval pairs_ct t))
+    (Array.concat [ shared; later; [| fresh |] ]);
+  Array.iter (fun (n, t) -> ignore (Registry.load_doc r ~store:"s" ~doc:n ~text:t)) shared;
+  let published = Atomic.make 0 and fresh_ready = Atomic.make false in
+  let arrived = Atomic.make 0 and wrong = Atomic.make 0 and answered = Atomic.make 0 in
+  let query doc =
+    let want, expected = Hashtbl.find oracle doc in
+    (match native_relation r ~store:"s" ~doc with
+    | None -> if want then Atomic.incr wrong
+    | Some rel -> if not (want && Span_relation.equal rel expected) then Atomic.incr wrong);
+    Atomic.incr answered
+  in
+  let worker d () =
+    for i = 0 to 59 do
+      let k = Atomic.get published in
+      let pool = Array.append shared (Array.sub later 0 k) in
+      query (fst pool.(((i * 7) + d) mod Array.length pool))
+    done;
+    Atomic.incr arrived;
+    while not (Atomic.get fresh_ready && Atomic.get arrived = 2) do
+      Domain.cpu_relax ()
+    done;
+    query (fst fresh)
+  in
+  let loader =
+    Thread.create
+      (fun () ->
+        Array.iteri
+          (fun i (n, t) ->
+            ignore (Registry.load_doc r ~store:"s" ~doc:n ~text:t);
+            Atomic.set published (i + 1);
+            Thread.delay 0.002)
+          later;
+        while Atomic.get arrived < 2 do
+          Thread.delay 0.001
+        done;
+        ignore (Registry.load_doc r ~store:"s" ~doc:(fst fresh) ~text:(snd fresh));
+        Atomic.set fresh_ready true)
+      ()
+  in
+  let domains = List.map (fun d -> Domain.spawn (worker d)) [ 0; 1 ] in
+  List.iter Domain.join domains;
+  Thread.join loader;
+  check Alcotest.int "every answer checked" 122 (Atomic.get answered);
+  check Alcotest.int "no wrong answer" 0 (Atomic.get wrong);
+  check Alcotest.bool "shared roots and the fresh root decided native" true
+    ((Registry.gate_stats r).Registry.native >= Array.length shared + 1)
 
 let registry_limits_clamp () =
   (* per-request overrides may only tighten the server defaults *)
@@ -396,6 +662,10 @@ let () =
           tc "stores and doc cache" `Quick registry_docs;
           tc "load_path bumps generation" `Quick registry_load_path_generation;
           tc "native compressed-domain cursor" `Quick registry_native_cursor;
+          tc "engine cache keys by shard" `Quick registry_engine_per_shard;
+          tc "corrupt arena never memoized" `Quick registry_corrupt_arena_not_memoized;
+          tc "gate memo differential" `Quick gate_memo_differential;
+          tc "two-domain stress" `Quick registry_two_domain_stress;
           tc "limits clamp to defaults" `Quick registry_limits_clamp;
         ] );
       ( "server",
