@@ -26,6 +26,7 @@ module Nfa = Spanner_fa.Nfa
 module Regex = Spanner_fa.Regex
 module Cursor = Spanner_engine.Cursor
 module Optimizer = Spanner_engine.Optimizer
+module Plan = Spanner_engine.Plan
 open Tables
 
 let v = Variable.of_string
@@ -368,18 +369,15 @@ let e6_slp_enumeration () =
         let total = Slp_spanner.cardinal engine id in
         let budget = 500 in
         Gc.full_major ();
-        let produced = ref 0 and worst = ref 0.0 and sum = ref 0.0 in
+        let produced = ref 0 and sum = ref 0.0 in
+        let cur = Slp_spanner.cursor engine id in
         let last = ref (now ()) in
-        (try
-           Slp_spanner.iter engine id (fun _ ->
-               let t = now () in
-               let gap = t -. !last in
-               last := t;
-               sum := !sum +. gap;
-               if gap > !worst then worst := gap;
-               incr produced;
-               if !produced >= budget then raise Exit)
-         with Exit -> ());
+        while !produced < budget && Slp_spanner.cursor_next cur <> None do
+          let t = now () in
+          sum := !sum +. (t -. !last);
+          last := t;
+          incr produced
+        done;
         let uncompressed_prep =
           if k <= 16 then begin
             let doc = Slp.to_string store id in
@@ -664,40 +662,38 @@ let e12_compiled_engine () =
       (fun k ->
         let n = 1 lsl k in
         let doc = X.string rng "ab" n in
-        let reference = best_of 3 (fun () -> ignore (Enumerate.Reference.prepare e doc)) in
         let compiled = best_of 3 (fun () -> ignore (Compiled.prepare ct doc)) in
-        let c_ref = Enumerate.Reference.cardinal (Enumerate.Reference.prepare e doc) in
-        let c_cmp = Compiled.cardinal (Compiled.prepare ct doc) in
         [
           pretty_int n;
-          pretty_time reference;
           pretty_time compiled;
-          Printf.sprintf "%.1fx" (reference /. max compiled 1e-9);
-          (if c_ref = c_cmp then pretty_int c_cmp else "MISMATCH");
+          pretty_int (Compiled.cardinal (Compiled.prepare ct doc));
         ])
       (sizes [ 10; 12; 14; 16; 17 ] [ 8; 10 ])
   in
   print_table
-    ~title:
-      "preprocessing [ab]*!x{ab}[ab]* — reference engine vs compiled tables (compilation \
-       excluded from the compiled column)"
-    ~header:[ "|D|"; "reference prepare"; "compiled prepare"; "speedup"; "tuples" ]
+    ~title:"preprocessing [ab]*!x{ab}[ab]* — compiled tables (compilation excluded)"
+    ~header:[ "|D|"; "compiled prepare"; "tuples" ]
     rows;
-  note "expected shape: both linear in |D|; compiled ahead by a constant factor (target >= 2x).";
-  let docs = Array.init (sc 64 8) (fun i -> X.string rng "ab" ((sc 2048 256) + (61 * i))) in
-  let seq = best_of 3 (fun () -> ignore (Compiled.eval_all ~jobs:1 ct docs)) in
+  note "expected shape: linear in |D|.";
+  let docs =
+    Array.init (sc 64 8) (fun i ->
+        (string_of_int i, X.string rng "ab" ((sc 2048 256) + (61 * i))))
+  in
+  let plan = Plan.make ct (Plan.Docs docs) in
+  let seq = best_of 3 (fun () -> ignore (Plan.relations ~jobs:1 plan)) in
   let rows =
     List.map
       (fun j ->
-        let t = best_of 3 (fun () -> ignore (Compiled.eval_all ~jobs:j ct docs)) in
+        let t = best_of 3 (fun () -> ignore (Plan.relations ~jobs:j plan)) in
         [ string_of_int j; pretty_time t; Printf.sprintf "%.1fx" (seq /. max t 1e-9) ])
       (List.sort_uniq compare [ 1; 2; 4; Pool.default_jobs () ])
   in
   print_table
     ~title:
-      (Printf.sprintf "batch eval_all over %d documents (%s chars total, one compiled spanner)"
+      (Printf.sprintf
+         "batch Plan.relations over %d documents (%s chars total, one compiled spanner)"
          (Array.length docs)
-         (pretty_int (Array.fold_left (fun acc d -> acc + String.length d) 0 docs)))
+         (pretty_int (Array.fold_left (fun acc (_, d) -> acc + String.length d) 0 docs)))
     ~header:[ "domains"; "wall time"; "speedup vs 1" ]
     rows;
   note "expected shape: near-linear scaling until domains exceed cores (%d recommended here)."
@@ -859,18 +855,19 @@ let e15_compressed_batch () =
         done;
         let total = Doc_db.total_len db in
         let nodes = Doc_db.compressed_size db in
+        let run engine = Plan.relations (Plan.make ~force:engine ct (Plan.Db db)) in
         let check engine =
-          List.iter
+          Array.iter
             (fun (name, r) ->
               match r with
               | Ok _ -> ()
               | Error e -> failwith (name ^ ": " ^ Printexc.to_string e))
-            (Doc_db.eval_all ~engine db ct)
+            (run engine)
         in
         check `Compressed;
         check `Decompress;
-        let compressed = best_of 3 (fun () -> ignore (Doc_db.eval_all ~engine:`Compressed db ct)) in
-        let decompress = best_of 3 (fun () -> ignore (Doc_db.eval_all ~engine:`Decompress db ct)) in
+        let compressed = best_of 3 (fun () -> ignore (run `Compressed)) in
+        let decompress = best_of 3 (fun () -> ignore (run `Decompress)) in
         let ratio = float_of_int total /. float_of_int nodes in
         json :=
           (Printf.sprintf "e15/compressed-x%d" repeat, Some (compressed *. 1e9))
@@ -890,7 +887,8 @@ let e15_compressed_batch () =
   print_table
     ~title:
       (Printf.sprintf
-         "Doc_db.eval_all, %d documents of %s bytes each — spanner [abcd]*!x{dcba}[abcd]* \
+         "Plan.relations over a Db, %d documents of %s bytes each — spanner \
+          [abcd]*!x{dcba}[abcd]* \
           (sweep + enumeration vs frozen decompression + Compiled.eval, cold engine each run)"
          ndocs (pretty_int n))
     ~header:[ "repeat"; "Σ|D|"; "|S|"; "ratio"; "compressed"; "decompress"; "speedup" ]
@@ -918,8 +916,7 @@ let e15_compressed_batch () =
   let sum_nodes =
     Array.fold_left (fun acc id -> acc + Slp.reachable_size store id) 0 roots
   in
-  let results = Slp_spanner.eval_all engine roots in
-  Array.iter (function Ok _ -> () | Error e -> raise e) results;
+  Array.iter (fun id -> ignore (Cursor.to_relation (Cursor.of_slp engine id))) roots;
   print_table
     ~title:
       (Printf.sprintf
@@ -1471,7 +1468,6 @@ let e19_chaos () =
 module Serialize = Spanner_slp.Serialize
 module Arena = Spanner_store.Arena
 module Corpus = Spanner_store.Corpus
-module Plan = Spanner_engine.Plan
 
 let e20_store () =
   section
@@ -1609,8 +1605,8 @@ let e20_store () =
 let e21_delay () =
   section
     "E21: compressed-domain constant delay — the native SLP cursor's take-10 per-tuple \
-     delay across doubling documents at compression ratio >= 100, and its \
-     time-to-first-tuple against the legacy effect-handler inversion (§2j)";
+     delay and time-to-first-tuple across doubling documents at compression ratio >= 100 \
+     (§2j)";
   let rng = X.create 1452 in
   let wlen = sc 20 6 in
   let words = List.init (sc 18 4) (fun _ -> X.string rng "ab" wlen) in
@@ -1698,44 +1694,10 @@ let e21_delay () =
     ~header:
       [ "|D|"; "nodes"; "ratio"; "prepare"; "ttft"; Printf.sprintf "take-%d" k; "delay/tuple" ]
     rows;
-  (* the pre-refactor adapter at the largest size: per-cursor
-     determinism probe + effect fiber + recursive descent *)
-  let _, top = List.nth roots (List.length roots - 1) in
-  let legacy_cursor () =
-    let dedup = not (Evset.is_deterministic (Compiled.evset (Slp_spanner.compiled engine))) in
-    Cursor.of_iter ~dedup ~vars:(Slp_spanner.vars engine) (fun yield ->
-        Slp_spanner.iter_prepared engine top yield)
-  in
-  let native_ttft =
-    best_of 20 (fun () ->
-        let c = Cursor.of_slp engine top in
-        ignore (Cursor.next c))
-  in
-  let legacy_ttft =
-    best_of 20 (fun () ->
-        let c = legacy_cursor () in
-        ignore (Cursor.next c))
-  in
-  let speedup = legacy_ttft /. max native_ttft 1e-9 in
-  json :=
-    ("e21/ttft-legacy", Some (legacy_ttft *. 1e9))
-    :: ("e21/ttft-speedup", Some speedup)
-    :: !json;
-  print_table ~title:"time-to-first-tuple at the largest size, native vs legacy adapter"
-    ~header:[ "cursor"; "ttft" ]
-    [
-      [ "native pull machine"; pretty_time native_ttft ];
-      [ "effect-handler of_iter"; pretty_time legacy_ttft ];
-      [ "speedup"; Printf.sprintf "%.0fx" speedup ];
-    ];
   note
     "expected shape: per-tuple take-%d delay flat (within 2x) from 4 MB to 256 MB — the \
      per-pull work is one fused split scan per grammar level plus dedup against the NFA's \
-     ambiguous runs, none of it a function of |D|; native ttft at least 50x below the \
-     legacy adapter, whose first pull pays a per-cursor determinism probe (a 256-entry \
-     table per state), an effect-fiber spawn, and a recursive descent that probes the \
-     transition matrix state-by-state where the native machine runs one word-parallel \
-     scan per level."
+     ambiguous runs, none of it a function of |D|."
     k;
   List.rev !json
 
@@ -1880,18 +1842,19 @@ let bechamel_suite () =
     Cde.Insert (Cde.Doc "base", Cde.Extract (Cde.Doc "base", e7_n / 4, e7_n / 2), e7_n / 3)
   in
   let e1_ct = Compiled.of_evset e1_auto in
-  let e12_docs = Array.init (sc 16 4) (fun i -> X.string rng "ab" (sc 4096 256 + i)) in
+  let e12_plan =
+    Plan.make e1_ct
+      (Plan.Docs
+         (Array.init (sc 16 4) (fun i -> (string_of_int i, X.string rng "ab" (sc 4096 256 + i)))))
+  in
   let tests =
     [
       Test.make ~name:"e1/prepare-4k" (Staged.stage (fun () -> Enumerate.prepare e1_auto doc4k));
-      Test.make ~name:"e1/reference-prepare-4k"
-        (Staged.stage (fun () -> Enumerate.Reference.prepare e1_auto doc4k));
       Test.make ~name:"e1/compiled-prepare-4k"
         (Staged.stage (fun () -> Compiled.prepare e1_ct doc4k));
       Test.make ~name:"e12/batch-16x4k-seq"
-        (Staged.stage (fun () -> Compiled.eval_all ~jobs:1 e1_ct e12_docs));
-      Test.make ~name:"e12/batch-16x4k-par"
-        (Staged.stage (fun () -> Compiled.eval_all e1_ct e12_docs));
+        (Staged.stage (fun () -> Plan.relations ~jobs:1 e12_plan));
+      Test.make ~name:"e12/batch-16x4k-par" (Staged.stage (fun () -> Plan.relations e12_plan));
       Test.make ~name:"e2/core-eval-square-12"
         (Staged.stage (fun () -> Core_spanner.eval e2_core "abababababab"));
       Test.make ~name:"e4/refl-modelcheck-8k"

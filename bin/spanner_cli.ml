@@ -86,11 +86,8 @@ let render ?doc cursor ~offset ~limit ~format =
 (* ------------------------------------------------------------------ *)
 (* eval *)
 
-let eval_cmd formula doc file contents compiled limits offset limit format =
+let eval_cmd formula doc file contents limits offset limit format =
   let document = read_document doc file in
-  (* the planner always evaluates through the compiled engine; the
-     flag is kept for compatibility *)
-  ignore compiled;
   let ct = Compiled.of_formula ~limits (parse_formula formula) in
   let plan = Plan.make ct (Plan.Doc document) in
   let cursor = Plan.cursor ~limits plan in
@@ -634,12 +631,6 @@ let format_arg =
            is pulled, $(b,count) prints only the count, $(b,first) prints the first tuple and \
            stops — with --limit/--offset, no tuple beyond the window is ever enumerated.")
 
-let compiled_arg =
-  Arg.(
-    value & flag
-    & info [ "compiled" ]
-        ~doc:"Evaluate through the compiled engine (dense per-spanner transition tables).")
-
 let jobs_arg =
   Arg.(
     value
@@ -703,11 +694,10 @@ let table_default = function Some f -> f | None -> `Table
 
 let eval_term =
   Term.(
-    const (fun formula doc file contents compiled limits offset limit format ->
+    const (fun formula doc file contents limits offset limit format ->
         catch (fun () ->
-            eval_cmd formula doc file contents compiled limits offset limit
-              (table_default format)))
-    $ formula_arg $ doc_arg $ file_arg $ contents_arg $ compiled_arg $ limits_term
+            eval_cmd formula doc file contents limits offset limit (table_default format)))
+    $ formula_arg $ doc_arg $ file_arg $ contents_arg $ limits_term
     $ offset_arg $ limit_arg $ format_arg)
 
 let engine_arg =

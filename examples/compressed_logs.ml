@@ -47,15 +47,18 @@ let () =
   in
   List.iter report (Doc_db.names db);
 
-  (* First few matches, enumerated lazily with only partial
-     decompression: *)
-  let shown = ref 0 in
-  (try
-     Slp_spanner.iter engine (Doc_db.find db "day") (fun tuple ->
-         Format.printf "  match: %a@." Span_tuple.pp tuple;
-         incr shown;
-         if !shown >= 3 then raise Exit)
-   with Exit -> ());
+  (* First few matches, pulled lazily from the prepared engine with
+     only partial decompression: *)
+  let cur = Slp_spanner.cursor engine (Doc_db.find db "day") in
+  let rec show k =
+    if k > 0 then
+      match Slp_spanner.cursor_next cur with
+      | Some tuple ->
+          Format.printf "  match: %a@." Span_tuple.pp tuple;
+          show (k - 1)
+      | None -> ()
+  in
+  show 3;
 
   (* Complex document editing (§4.3): splice the first error region of
      "day" into "night", then append a fresh heartbeat block — all in

@@ -1,7 +1,6 @@
 module Bitset = Spanner_util.Bitset
 module Bitmatrix = Spanner_util.Bitmatrix
 module Vec = Spanner_util.Vec
-module Pool = Spanner_util.Pool
 module Limits = Spanner_util.Limits
 module Charset = Spanner_fa.Charset
 
@@ -159,12 +158,37 @@ let alphabet ct = Array.length ct.labels
 let is_letter_deterministic ct = ct.deterministic
 let initial ct = ct.initial
 let is_final_state ct q = ct.final.(q)
-let label_markers ct lbl = ct.labels.(lbl)
 
 let iter_set_arcs ct q f =
   for k = ct.set_off.(q) to ct.set_off.(q + 1) - 1 do
     f ct.set_lbl.(k) ct.set_dst.(k)
   done
+
+let ending_states ct =
+  let ends = Bitset.create (max 1 ct.nstates) in
+  for q = 0 to ct.nstates - 1 do
+    if ct.final.(q) then Bitset.add ends q
+    else iter_set_arcs ct q (fun _ q' -> if ct.final.(q') then Bitset.add ends q)
+  done;
+  ends
+
+(* Pick lists are (0-based boundary, label id), decoded through the
+   interned marker-set alphabet; every engine's runs end up here. *)
+let tuple_of_picks ct picks extra =
+  let opens = Hashtbl.create 4 in
+  let tuple = ref Span_tuple.empty in
+  let apply (boundary, lbl) =
+    Marker.Set.iter
+      (function
+        | Marker.Open x -> Hashtbl.replace opens x (boundary + 1)
+        | Marker.Close x ->
+            let left = Option.value ~default:(boundary + 1) (Hashtbl.find_opt opens x) in
+            tuple := Span_tuple.bind !tuple x (Span.make left (boundary + 1)))
+      ct.labels.(lbl)
+  in
+  Vec.iter apply picks;
+  (match extra with Some pick -> apply pick | None -> ());
+  !tuple
 
 (* ------------------------------------------------------------------ *)
 (* Per-factor transition summaries: the state→state behaviour of the
@@ -517,22 +541,6 @@ type cursor = {
   prepared : prepared;
 }
 
-let tuple_of_picks labels picks extra =
-  let opens = Hashtbl.create 4 in
-  let tuple = ref Span_tuple.empty in
-  let apply (boundary, lbl) =
-    Marker.Set.iter
-      (function
-        | Marker.Open x -> Hashtbl.replace opens x (boundary + 1)
-        | Marker.Close x ->
-            let left = Option.value ~default:(boundary + 1) (Hashtbl.find_opt opens x) in
-            tuple := Span_tuple.bind !tuple x (Span.make left (boundary + 1)))
-      labels.(lbl)
-  in
-  Vec.iter apply picks;
-  (match extra with Some pick -> apply pick | None -> ());
-  !tuple
-
 let cursor p =
   {
     frames = [];
@@ -554,10 +562,10 @@ let rec next cur =
   | action :: rest -> (
       if rest <> [] then cur.frames <- (rest, Vec.length cur.picks) :: cur.frames;
       cur.current <- [];
-      let labels = cur.prepared.tables.labels in
+      let ct = cur.prepared.tables in
       match action with
-      | Eof_empty -> Some (tuple_of_picks labels cur.picks None)
-      | Eof_set lbl -> Some (tuple_of_picks labels cur.picks (Some (cur.prepared.doc_len, lbl)))
+      | Eof_empty -> Some (tuple_of_picks ct cur.picks None)
+      | Eof_set lbl -> Some (tuple_of_picks ct cur.picks (Some (cur.prepared.doc_len, lbl)))
       | Edge (i, lbl, t) ->
           ignore (Vec.push cur.picks (i, lbl));
           cur.current <- t.jump.actions;
@@ -590,7 +598,7 @@ let to_relation p =
   !r
 
 (* ------------------------------------------------------------------ *)
-(* Whole-document and batch evaluation                                 *)
+(* Whole-document evaluation                                           *)
 
 (* One gauge spans both phases: preprocessing and output collection
    draw from the same fuel, and the tuple cap applies to the collected
@@ -599,7 +607,8 @@ let prepare_with_gauge = prepare_gauge
 let cursor_next = next
 let prepared_vars p = p.tables.vars
 
-let eval_with_gauge g ct doc =
+let eval ?(limits = Limits.none) ct doc =
+  let g = Limits.start limits in
   let p = prepare_gauge g ct doc in
   let r = ref (Span_relation.empty p.tables.vars) in
   let count = ref 0 in
@@ -609,11 +618,3 @@ let eval_with_gauge g ct doc =
       Limits.check_tuples g !count;
       r := Span_relation.add !r t);
   !r
-
-let eval ?(limits = Limits.none) ct doc = eval_with_gauge (Limits.start limits) ct doc
-
-let eval_all ?jobs ?limits ct docs = Pool.map ?jobs (eval ?limits ct) docs
-
-(* Each document gets its own gauge ([eval] starts one per call), so a
-   poisoned or oversized document trips only its own slot. *)
-let eval_all_result ?jobs ?limits ct docs = Pool.map_result ?jobs (eval ?limits ct) docs

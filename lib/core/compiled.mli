@@ -31,10 +31,9 @@
     public API is now a thin wrapper over this module.
 
     Compiled tables are immutable after {!of_evset}, so one compiled
-    spanner may be shared by concurrent domains: {!eval_all} evaluates
-    a batch of documents in parallel through {!Spanner_util.Pool} —
-    the document-database workload of §4 (one spanner, many
-    documents), with deterministic output order. *)
+    spanner may be shared by concurrent domains: batches of documents
+    (the document-database workload of §4, one spanner and many
+    documents) fan out through {!Spanner_engine.Plan.relations}. *)
 
 type t
 (** A compiled spanner: dense transition tables, shareable across
@@ -80,10 +79,6 @@ val is_final_state : t -> int -> bool
     leaving [q], in compiled (CSR) order. *)
 val iter_set_arcs : t -> int -> (int -> int -> unit) -> unit
 
-(** [label_markers ct lbl] is the marker set interned as label [lbl]
-    (see {!alphabet}). *)
-val label_markers : t -> int -> Marker.Set.t
-
 (** [class_of_char ct c] is the byte class of [c] (see {!classes}). *)
 val class_of_char : t -> char -> int
 
@@ -98,6 +93,19 @@ val class_matrix : t -> int -> Spanner_util.Bitmatrix.t
 (** [set_step_matrix ct] is the single-set-arc step: entry [(p, q)]
     iff some set arc takes [p] to [q], any label. *)
 val set_step_matrix : t -> Spanner_util.Bitmatrix.t
+
+(** [ending_states ct] is the set of states that close a run: final
+    states, and states with a set arc into a final state (the marker
+    set placed at the trailing boundary). *)
+val ending_states : t -> Spanner_util.Bitset.t
+
+(** [tuple_of_picks ct picks extra] decodes one run into its tuple.
+    [picks] holds the run's set arcs as (0-based boundary, label id)
+    pairs in boundary order; [extra] is an optional last pick (the
+    trailing-boundary set arc of an ending state).  Shared by every
+    engine that enumerates runs over these tables. *)
+val tuple_of_picks :
+  t -> (int * int) Spanner_util.Vec.t -> (int * int) option -> Span_tuple.t
 
 (** {1 Per-factor transition summaries}
 
@@ -193,37 +201,9 @@ val cursor : prepared -> cursor
     is exhausted (and forever after). *)
 val cursor_next : cursor -> Span_tuple.t option
 
-(** {1 Whole-document and batch evaluation} *)
+(** {1 Whole-document evaluation} *)
 
 (** [eval ?limits ct doc] is ⟦ct⟧(doc) through prepare + enumerate.
     One gauge spans both phases (fuel and deadline are shared), and
     the collected relation is capped at [limits.max_tuples]. *)
 val eval : ?limits:Spanner_util.Limits.t -> t -> string -> Span_relation.t
-
-(** [eval_with_gauge g ct doc] is {!eval} drawing on the caller's
-    running gauge instead of starting a fresh one — for pipelines
-    where earlier work (e.g. decompressing [doc] out of an SLP) must
-    share the document's budget. *)
-val eval_with_gauge : Spanner_util.Limits.gauge -> t -> string -> Span_relation.t
-
-(** [eval_all ?jobs ?limits ct docs] evaluates every document of
-    [docs], [jobs] domains at a time (default
-    {!Spanner_util.Pool.default_jobs}; [~jobs:1] is sequential).
-    Results are in input order and identical for every [jobs] — the
-    per-document computation is deterministic and shares only the
-    immutable compiled tables.  Each document is metered by its own
-    gauge started from [limits]; the first failure aborts the whole
-    batch (all-or-nothing semantics — see {!eval_all_result}). *)
-val eval_all :
-  ?jobs:int -> ?limits:Spanner_util.Limits.t -> t -> string array -> Span_relation.t array
-
-(** [eval_all_result ?jobs ?limits ct docs] is {!eval_all} with
-    partial-failure semantics: a document that fails (malformed,
-    over-budget, …) degrades to its [Error] slot while every healthy
-    document still completes. *)
-val eval_all_result :
-  ?jobs:int ->
-  ?limits:Spanner_util.Limits.t ->
-  t ->
-  string array ->
-  (Span_relation.t, exn) result array

@@ -1,7 +1,3 @@
-module Bitset = Spanner_util.Bitset
-module Vec = Spanner_util.Vec
-module Charset = Spanner_fa.Charset
-
 (* The enumeration engine proper lives in {!Compiled}: the spanner is
    compiled once into dense transition tables and the per-document
    pass is array indexing only.  This module keeps the historical API
@@ -25,230 +21,3 @@ let to_seq = Compiled.to_seq
 let first = Compiled.first
 
 let to_relation ?limits e doc = Compiled.eval ?limits (Compiled.of_evset ?limits e) doc
-
-(* ------------------------------------------------------------------ *)
-(* Reference implementation                                            *)
-
-(* The pre-compilation engine, kept verbatim as a differential-testing
-   oracle and benchmark baseline: it interleaves spanner-level work
-   (marker-set label collection via list scans, per-character Charset
-   membership, hash-bucket subset interning) with the document pass.
-   Semantics are identical to the compiled engine; only the constant
-   factors differ. *)
-module Reference = struct
-  type node = {
-    id : int;
-    boundary : int;
-    mutable actions : action list;
-    mutable useful : bool;
-    mutable jump : node; (* deepest markerless descendant chain entry *)
-    mutable count : int; (* number of accepting runs through this node *)
-  }
-
-  and action =
-    | Eof_empty
-    | Eof_set of Marker.Set.t
-    | Edge of int * Marker.Set.t * node
-    | Skip of node
-
-  type prepared = {
-    doc_len : int;
-    root : node option;
-    vars : Variable.Set.t;
-    node_count : int;
-    edge_count : int;
-  }
-
-  let prepare e doc =
-    let n = String.length doc in
-    let counter = ref 0 in
-    let fresh boundary =
-      let id = !counter in
-      incr counter;
-      let rec node =
-        { id; boundary; actions = []; useful = false; jump = node; count = 0 }
-      in
-      node
-    in
-    (* Layered interning of state subsets. *)
-    let layers = Array.init (n + 1) (fun _ -> Hashtbl.create 8) in
-    let worklist = Queue.create () in
-    let intern boundary set =
-      let table = layers.(boundary) in
-      let k = Bitset.hash set in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt table k) in
-      match List.find_opt (fun (s, _) -> Bitset.equal s set) bucket with
-      | Some (_, node) -> node
-      | None ->
-          let node = fresh boundary in
-          Hashtbl.replace table k ((set, node) :: bucket);
-          Queue.add (node, set) worklist;
-          node
-    in
-    let letter_image set c =
-      let next = Bitset.create (Evset.size e) in
-      Bitset.iter
-        (fun q ->
-          Evset.iter_letter_arcs e q (fun cs dst -> if Charset.mem cs c then Bitset.add next dst))
-        set;
-      next
-    in
-    let set_labels set =
-      (* Distinct marker-set labels with their determinised targets. *)
-      let labels = ref [] in
-      Bitset.iter
-        (fun q ->
-          Evset.iter_set_arcs e q (fun s dst ->
-              match List.find_opt (fun (s', _) -> Marker.Set.equal s s') !labels with
-              | Some (_, tgt) -> Bitset.add tgt dst
-              | None ->
-                  let tgt = Bitset.create (Evset.size e) in
-                  Bitset.add tgt dst;
-                  labels := (s, tgt) :: !labels))
-        set;
-      !labels
-    in
-    let has_final set = Bitset.fold (fun q acc -> acc || Evset.is_final e q) set false in
-    let start = Bitset.create (Evset.size e) in
-    Bitset.add start (Evset.initial e);
-    let root = intern 0 start in
-    let all = ref [] in
-    while not (Queue.is_empty worklist) do
-      let node, set = Queue.take worklist in
-      all := node :: !all;
-      let i = node.boundary in
-      if i = n then begin
-        let eofs =
-          List.filter_map
-            (fun (s, tgt) -> if has_final tgt then Some (Eof_set s) else None)
-            (set_labels set)
-        in
-        let eofs = if has_final set then eofs @ [ Eof_empty ] else eofs in
-        node.actions <- eofs
-      end
-      else begin
-        let c = doc.[i] in
-        let edges =
-          List.filter_map
-            (fun (s, tgt) ->
-              let after = letter_image tgt c in
-              if Bitset.is_empty after then None else Some (Edge (i, s, intern (i + 1) after)))
-            (set_labels set)
-        in
-        let skip =
-          let after = letter_image set c in
-          if Bitset.is_empty after then [] else [ Skip (intern (i + 1) after) ]
-        in
-        node.actions <- edges @ skip
-      end
-    done;
-    (* Backward pass over boundaries: usefulness, trimming, path counts
-       and jump pointers.  Nodes were discovered in boundary order, so
-       the reversed discovery list is a valid topological order. *)
-    let node_count = ref 0 and edge_count = ref 0 in
-    List.iter
-      (fun node ->
-        let keep action =
-          match action with
-          | Eof_empty | Eof_set _ -> true
-          | Edge (_, _, t) | Skip t -> t.useful
-        in
-        node.actions <- List.filter keep node.actions;
-        node.useful <- node.actions <> [];
-        if node.useful then begin
-          incr node_count;
-          edge_count := !edge_count + List.length node.actions
-        end;
-        node.count <-
-          List.fold_left
-            (fun acc action ->
-              acc
-              + match action with Eof_empty | Eof_set _ -> 1 | Edge (_, _, t) | Skip t -> t.count)
-            0 node.actions;
-        node.jump <-
-          (match node.actions with
-          | [ Skip t ] -> t.jump
-          | _ -> node))
-      !all;
-    {
-      doc_len = n;
-      root = (if root.useful then Some root.jump else None);
-      vars = Evset.vars e;
-      node_count = !node_count;
-      edge_count = !edge_count;
-    }
-
-  let cardinal p = match p.root with None -> 0 | Some root -> root.count
-
-  type cursor = {
-    mutable frames : (action list * int) list; (* unexplored siblings, picks length *)
-    picks : (int * Marker.Set.t) Vec.t;
-    mutable current : action list;
-    prepared : prepared;
-  }
-
-  let tuple_of_picks picks extra =
-    let opens = Hashtbl.create 4 in
-    let tuple = ref Span_tuple.empty in
-    let apply (boundary, s) =
-      Marker.Set.iter
-        (function
-          | Marker.Open x -> Hashtbl.replace opens x (boundary + 1)
-          | Marker.Close x ->
-              let left = Option.value ~default:(boundary + 1) (Hashtbl.find_opt opens x) in
-              tuple := Span_tuple.bind !tuple x (Span.make left (boundary + 1)))
-        s
-    in
-    Vec.iter apply picks;
-    (match extra with Some pick -> apply pick | None -> ());
-    !tuple
-
-  let cursor p =
-    {
-      frames = [];
-      picks = Vec.create ();
-      current = (match p.root with None -> [] | Some root -> root.actions);
-      prepared = p;
-    }
-
-  let rec next cur =
-    match cur.current with
-    | [] -> (
-        match cur.frames with
-        | [] -> None
-        | (actions, plen) :: rest ->
-            cur.frames <- rest;
-            Vec.truncate cur.picks plen;
-            cur.current <- actions;
-            next cur)
-    | action :: rest -> (
-        if rest <> [] then cur.frames <- (rest, Vec.length cur.picks) :: cur.frames;
-        cur.current <- [];
-        match action with
-        | Eof_empty -> Some (tuple_of_picks cur.picks None)
-        | Eof_set s -> Some (tuple_of_picks cur.picks (Some (cur.prepared.doc_len, s)))
-        | Edge (i, s, t) ->
-            ignore (Vec.push cur.picks (i, s));
-            cur.current <- t.jump.actions;
-            next cur
-        | Skip t ->
-            cur.current <- t.jump.actions;
-            next cur)
-
-  let iter p f =
-    let cur = cursor p in
-    let rec loop () =
-      match next cur with
-      | None -> ()
-      | Some tuple ->
-          f tuple;
-          loop ()
-    in
-    loop ()
-
-  let to_relation e doc =
-    let p = prepare e doc in
-    let r = ref (Span_relation.empty p.vars) in
-    iter p (fun t -> r := Span_relation.add !r t);
-    !r
-end

@@ -22,9 +22,7 @@
     thin wrapper over {!Compiled}: each call compiles the spanner into
     dense transition tables and runs the array-indexed document pass.
     Callers that evaluate one spanner over many documents should use
-    {!Compiled} directly to pay the (spanner-only) compilation once.
-    The pre-compilation engine is retained as {!Reference} for
-    differential testing and benchmarking. *)
+    {!Compiled} directly to pay the (spanner-only) compilation once. *)
 
 type prepared = Compiled.prepared
 
@@ -60,18 +58,3 @@ type stats = {
 }
 
 val stats : prepared -> stats
-
-(** The original engine, before spanner compilation: marker-set labels
-    are recollected by list scans, letters probe charset membership
-    per arc, and subsets are interned through hash buckets.  Same
-    semantics and same product DAG as the compiled engine — kept as a
-    differential-testing oracle and as the benchmark baseline for the
-    compiled path. *)
-module Reference : sig
-  type prepared
-
-  val prepare : Evset.t -> string -> prepared
-  val iter : prepared -> (Span_tuple.t -> unit) -> unit
-  val cardinal : prepared -> int
-  val to_relation : Evset.t -> string -> Span_relation.t
-end

@@ -52,53 +52,6 @@ let dedup_wrap gauge pull =
   in
   fresh
 
-(* Invert an iter-style enumerator into a pull function: the producer
-   runs under an effect handler and is suspended at every yielded
-   tuple; [next] resumes the captured continuation.  The effect
-   constructor is local to each call, so cursors can nest (a pull
-   inside another producer's callback) without stealing each other's
-   yields.  This is the generic adapter for external iter-style
-   producers — the native engines below no longer come through here. *)
-let of_iter ?(gauge = Limits.unlimited ()) ?(dedup = false) ~vars iter =
-  let module G = struct
-    type _ Effect.t += Yield : Span_tuple.t -> unit Effect.t
-  end in
-  let open Effect.Deep in
-  let resume : (unit, Span_tuple.t option) continuation option ref = ref None in
-  let started = ref false in
-  let run () =
-    match_with
-      (fun () -> iter (fun t -> Effect.perform (G.Yield t)))
-      ()
-      {
-        retc = (fun () -> None);
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | G.Yield t ->
-                Some
-                  (fun (k : (a, Span_tuple.t option) continuation) ->
-                    resume := Some k;
-                    Some t)
-            | _ -> None);
-      }
-  in
-  let raw () =
-    if not !started then begin
-      started := true;
-      run ()
-    end
-    else
-      match !resume with
-      | None -> None
-      | Some k ->
-          resume := None;
-          continue k ()
-  in
-  let pull = if dedup then dedup_wrap gauge raw else raw in
-  of_fun ~gauge ~vars pull
-
 let of_compiled ?gauge p =
   let cur = Compiled.cursor p in
   of_fun ?gauge ~vars:(Compiled.prepared_vars p) (fun () -> Compiled.cursor_next cur)

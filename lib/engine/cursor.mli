@@ -12,9 +12,10 @@
 
     Every pull is gauge-probed ({!Spanner_util.Limits.tick_tuple}):
     deadlines and tuple caps fire {e mid-stream}, between two tuples,
-    with the same error taxonomy and counts as the materialising entry
-    points they replace.  {!to_relation} is a thin fold, so draining a
-    cursor reproduces the engine's pre-cursor relation exactly.
+    with the same error taxonomy and counts as a materialising
+    evaluation.  {!to_relation} is a thin fold, so draining a cursor
+    gives the evaluation's relation exactly; {!Plan.relations} is that
+    fold over every document of a batch.
 
     Constructors cover the three native engines, and all three are
     {e native pull producers}: {!of_compiled} walks
@@ -30,12 +31,7 @@
     construction) the stream deduplicates on the fly so streamed
     counts agree with set semantics — and the dedup table itself is
     metered: every run it absorbs consumes a gauge step, so fuel
-    budgets see the memory the stream retains.
-
-    {!of_iter} remains as the generic adapter for {e external}
-    iter-style producers: it inverts a callback enumerator into a pull
-    stream with an OCaml 5 effect handler.  The native engines no
-    longer come through it. *)
+    budgets see the memory the stream retains. *)
 
 open Spanner_core
 
@@ -48,22 +44,6 @@ type t
     returning [None] after that). *)
 val of_fun :
   ?gauge:Spanner_util.Limits.gauge -> vars:Variable.Set.t -> (unit -> Span_tuple.t option) -> t
-
-(** [of_iter ?gauge ?dedup ~vars iter] inverts an iter-style enumerator
-    into a pull stream: [iter f] must call [f] once per tuple;
-    the cursor runs it under an effect handler that suspends the
-    producer at each tuple until the consumer pulls again.  Nothing
-    runs before the first pull.  With [~dedup:true] (default [false])
-    tuples already seen are skipped — for producers that enumerate
-    runs of a nondeterministic automaton, each absorbed run consuming
-    one gauge step.  An exception raised by [iter] (e.g. a tripping
-    gauge inside the engine) surfaces at the pull that hits it. *)
-val of_iter :
-  ?gauge:Spanner_util.Limits.gauge ->
-  ?dedup:bool ->
-  vars:Variable.Set.t ->
-  ((Span_tuple.t -> unit) -> unit) ->
-  t
 
 (** [of_compiled ?gauge p] streams the tuples of a prepared document
     through {!Spanner_core.Compiled}'s native DAG cursor.

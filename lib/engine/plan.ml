@@ -163,51 +163,50 @@ let pp ppf p =
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
-let slp_engine ct store = Slp_spanner.of_compiled ct store
-
 (* Decompress-then-evaluate one frozen document under [g]: the
    decompression, the document pass and the stream all draw on the
-   same budget (the `Decompress contract of Doc_db.eval_all). *)
+   same budget. *)
 let decompress_cursor g ct fz id =
   let doc = Slp.frozen_to_string ~gauge:g fz id in
   Cursor.of_compiled ~gauge:g (Compiled.prepare_with_gauge g ct doc)
 
-let single_cursor ?(limits = Limits.none) p =
+let cursor ?(limits = Limits.none) p =
   let g = Limits.start limits in
   match (p.input, p.choice) with
   | Doc doc, _ -> Cursor.of_compiled ~gauge:g (Compiled.prepare_with_gauge g p.ct doc)
   | Slp_node (store, id), `Compressed ->
-      let engine = slp_engine p.ct store in
+      let engine = Slp_spanner.of_compiled p.ct store in
       Slp_spanner.prepare_gauge g engine id;
       Cursor.of_slp ~gauge:g engine id
-  | Slp_node (store, id), _ ->
-      let fz = Slp.freeze store in
-      decompress_cursor g p.ct fz id
+  | Slp_node (store, id), _ -> decompress_cursor g p.ct (Slp.freeze store) id
   | Session (s, name), _ -> Cursor.of_incr ~gauge:g s (Doc_db.find (Incr.database s) name)
   | (Docs _ | Db _ | Packed _), _ -> invalid_arg "Plan.cursor: batch input, use Plan.cursors"
 
-let cursor ?limits p = single_cursor ?limits p
+(* A shared sweep that tripped leaves nothing to enumerate from, so
+   every opener it covers re-raises its error. *)
+let swept = function Ok engine -> engine | Error e -> raise e
 
-let single_name p =
-  match p.input with Session (_, name) -> name | Slp_node _ -> "slp" | _ -> "doc"
-
-let cursors ?(limits = Limits.none) p =
+(* [openers ?jobs ~limits p] is one [(name, open)] pair per document,
+   in input order: [open ()] prepares the document and returns its
+   cursor, metered by a gauge of its own.  Work a batch shares runs
+   here, before any opener exists, under one gauge per sweep: a [Db]'s
+   one sweep over the shared store, a [Packed] corpus's per-shard
+   sweeps across [jobs] domains (engines straight over the mapped
+   columns; a shard's sweep covers only its own documents, so a trip
+   poisons only them). *)
+let openers ?jobs ~limits p =
+  let fresh () = Limits.start limits in
   match p.input with
-  | Doc _ | Slp_node _ | Session _ ->
-      [|
-        ( single_name p,
-          match single_cursor ~limits p with c -> Ok c | exception e -> Error e );
-      |]
+  | Doc _ -> [| ("doc", fun () -> cursor ~limits p) |]
+  | Slp_node _ -> [| ("slp", fun () -> cursor ~limits p) |]
+  | Session (_, name) -> [| (name, fun () -> cursor ~limits p) |]
   | Docs docs ->
       Array.map
         (fun (name, doc) ->
           ( name,
-            match
-              let g = Limits.start limits in
-              Cursor.of_compiled ~gauge:g (Compiled.prepare_with_gauge g p.ct doc)
-            with
-            | c -> Ok c
-            | exception e -> Error e ))
+            fun () ->
+              let g = fresh () in
+              Cursor.of_compiled ~gauge:g (Compiled.prepare_with_gauge g p.ct doc) ))
         docs
   | Db db -> (
       let names = Array.of_list (Doc_db.names db) in
@@ -216,27 +215,20 @@ let cursors ?(limits = Limits.none) p =
       | `Decompress ->
           let fz = Doc_db.freeze db in
           Array.map2
-            (fun name id ->
-              ( name,
-                match decompress_cursor (Limits.start limits) p.ct fz id with
-                | c -> Ok c
-                | exception e -> Error e ))
+            (fun name id -> (name, fun () -> decompress_cursor (fresh ()) p.ct fz id))
             names roots
-      | _ -> (
-          (* one sweep covers every root (shared nodes once, single
-             gauge); if it trips there is nothing to enumerate from,
-             so every slot degrades to that error *)
-          let engine = slp_engine p.ct (Doc_db.store db) in
-          match
-            let g = Limits.start limits in
-            Array.iter (fun id -> Slp_spanner.prepare_gauge g engine id) roots
-          with
-          | exception e -> Array.map (fun name -> (name, Error e)) names
-          | () ->
-              Array.map2
-                (fun name id ->
-                  (name, Ok (Cursor.of_slp ~gauge:(Limits.start limits) engine id)))
-                names roots))
+      | _ ->
+          (* one sweep covers every root: shared nodes once *)
+          let engine =
+            let engine = Slp_spanner.of_compiled p.ct (Doc_db.store db) in
+            let g = fresh () in
+            match Array.iter (fun id -> Slp_spanner.prepare_gauge g engine id) roots with
+            | () -> Ok engine
+            | exception e -> Error e
+          in
+          Array.map2
+            (fun name id -> (name, fun () -> Cursor.of_slp ~gauge:(fresh ()) (swept engine) id))
+            names roots)
   | Packed c -> (
       let shards = Corpus.shards c in
       let docs = Corpus.docs c in
@@ -245,147 +237,36 @@ let cursors ?(limits = Limits.none) p =
           Array.map
             (fun (name, si, root) ->
               ( name,
-                match
-                  decompress_cursor (Limits.start limits) p.ct
-                    (Arena.frozen_view shards.(si)) root
-                with
-                | cur -> Ok cur
-                | exception e -> Error e ))
+                fun () ->
+                  decompress_cursor (fresh ()) p.ct (Arena.frozen_view shards.(si)) root ))
             docs
       | _ ->
-          (* one engine and one sweep per shard, straight over the
-             mapped columns; a shard whose sweep trips poisons only
-             its own documents *)
-          let swept =
-            Array.mapi
+          let engines =
+            Pool.mapi_result ?jobs
               (fun si a ->
                 let engine = Slp_spanner.of_frozen p.ct (Arena.frozen_view a) in
-                match
-                  let g = Limits.start limits in
-                  Array.iter
-                    (fun (_, sj, root) ->
-                      if sj = si then Slp_spanner.prepare_gauge g engine root)
-                    docs
-                with
-                | () -> Ok engine
-                | exception e -> Error e)
+                let g = fresh () in
+                Array.iter
+                  (fun (_, sj, root) -> if sj = si then Slp_spanner.prepare_gauge g engine root)
+                  docs;
+                engine)
               shards
           in
           Array.map
             (fun (name, si, root) ->
-              match swept.(si) with
-              | Error e -> (name, Error e)
-              | Ok engine ->
-                  (name, Ok (Cursor.of_slp ~gauge:(Limits.start limits) engine root)))
+              (name, fun () -> Cursor.of_slp ~gauge:(fresh ()) (swept engines.(si)) root))
             docs)
 
+let cursors ?(limits = Limits.none) p =
+  Array.map
+    (fun (name, open_) -> (name, match open_ () with c -> Ok c | exception e -> Error e))
+    (openers ~jobs:1 ~limits p)
+
+(* Enumeration only reads frozen snapshots, filled matrix slots and
+   compiled tables, so openers fan out across domains; a one-element
+   batch (every single-document shape, a [Session] among them) stays
+   on the caller's domain. *)
 let relations ?jobs ?(limits = Limits.none) p =
-  let drain c = Cursor.to_relation c in
-  match p.input with
-  | Doc _ | Slp_node _ | Session _ ->
-      Array.map
-        (fun (name, r) ->
-          ( name,
-            match r with
-            | Error e -> Error e
-            | Ok c -> ( match drain c with r -> Ok r | exception e -> Error e) ))
-        (cursors ~limits p)
-  | Docs docs ->
-      let names = Array.map fst docs in
-      let results =
-        Pool.map_result ?jobs
-          (fun (_, doc) ->
-            let g = Limits.start limits in
-            drain (Cursor.of_compiled ~gauge:g (Compiled.prepare_with_gauge g p.ct doc)))
-          docs
-      in
-      Array.map2 (fun name r -> (name, r)) names results
-  | Db db -> (
-      let names = Array.of_list (Doc_db.names db) in
-      let roots = Array.map (Doc_db.find db) names in
-      match p.choice with
-      | `Decompress ->
-          let fz = Doc_db.freeze db in
-          let results =
-            Pool.map_result ?jobs
-              (fun id -> drain (decompress_cursor (Limits.start limits) p.ct fz id))
-              roots
-          in
-          Array.map2 (fun name r -> (name, r)) names results
-      | _ -> (
-          let engine = slp_engine p.ct (Doc_db.store db) in
-          match
-            let g = Limits.start limits in
-            Array.iter (fun id -> Slp_spanner.prepare_gauge g engine id) roots
-          with
-          | exception e -> Array.map (fun name -> (name, Error e)) names
-          | () ->
-              (* enumeration only reads the frozen snapshot and filled
-                 matrix slots — safe to fan out across domains *)
-              let results =
-                Pool.map_result ?jobs
-                  (fun id ->
-                    drain (Cursor.of_slp ~gauge:(Limits.start limits) engine id))
-                  roots
-              in
-              Array.map2 (fun name r -> (name, r)) names results))
-  | Packed c -> (
-      let shards = Corpus.shards c in
-      let docs = Corpus.docs c in
-      match p.choice with
-      | `Decompress ->
-          let results =
-            Pool.map_result ?jobs
-              (fun (_, si, root) ->
-                drain
-                  (decompress_cursor (Limits.start limits) p.ct
-                     (Arena.frozen_view shards.(si)) root))
-              docs
-          in
-          Array.map2 (fun (name, _, _) r -> (name, r)) docs results
-      | _ when Array.length shards = 1 ->
-          (* single arena: one shared sweep over the mapped columns,
-             then enumeration fans out per document (mirrors Db) *)
-          let engine = Slp_spanner.of_frozen p.ct (Arena.frozen_view shards.(0)) in
-          (match
-             let g = Limits.start limits in
-             Array.iter (fun (_, _, root) -> Slp_spanner.prepare_gauge g engine root) docs
-           with
-          | exception e -> Array.map (fun (name, _, _) -> (name, Error e)) docs
-          | () ->
-              let results =
-                Pool.map_result ?jobs
-                  (fun (_, _, root) ->
-                    drain (Cursor.of_slp ~gauge:(Limits.start limits) engine root))
-                  docs
-              in
-              Array.map2 (fun (name, _, _) r -> (name, r)) docs results)
-      | _ ->
-          (* shard-parallel in two waves.  Wave 1 fans out over shards:
-             each domain builds an engine over its shard's mapped
-             columns and sweeps that shard's documents under one gauge
-             — the serial bottleneck of the single-store path.  A sweep
-             failure poisons the shard's documents only.  Wave 2 fans
-             out over all documents at once (enumeration only reads
-             the mapped columns and filled matrix slots, so engines
-             are safely shared across domains); a drain failure
-             poisons one document only. *)
-          let swept =
-            Pool.map_result ?jobs
-              (fun si ->
-                let engine = Slp_spanner.of_frozen p.ct (Arena.frozen_view shards.(si)) in
-                let g = Limits.start limits in
-                Array.iter
-                  (fun (_, sj, root) ->
-                    if sj = si then Slp_spanner.prepare_gauge g engine root)
-                  docs;
-                engine)
-              (Array.init (Array.length shards) Fun.id)
-          in
-          Pool.map_result ?jobs
-            (fun (_, si, root) ->
-              match swept.(si) with
-              | Error e -> raise e
-              | Ok engine -> drain (Cursor.of_slp ~gauge:(Limits.start limits) engine root))
-            docs
-          |> Array.map2 (fun (name, _, _) r -> (name, r)) docs)
+  let ops = openers ?jobs ~limits p in
+  Pool.map_result ?jobs (fun (_, open_) -> Cursor.to_relation (open_ ())) ops
+  |> Array.map2 (fun (name, _) r -> (name, r)) ops

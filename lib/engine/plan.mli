@@ -16,8 +16,8 @@
     Execution goes through {!Cursor}: {!cursor} streams one document's
     results, {!cursors} gives per-document streams of a batch, and
     {!relations} is the materialising fold (parallel across a
-    {!Spanner_util.Pool} for batch shapes) that reproduces the
-    pre-planner entry points result-for-result. *)
+    {!Spanner_util.Pool} for batch shapes).  Every batch evaluation in
+    the library and the CLI goes through {!cursors} or {!relations}. *)
 
 open Spanner_core
 module Slp := Spanner_slp.Slp
@@ -59,6 +59,13 @@ type t
     (e.g. [`Incr] without a session). *)
 val make : ?force:choice -> Compiled.t -> input -> t
 
+(** [sweep_threshold] is the compression ratio (decompressed bytes per
+    SLP node) from which the matrix sweep beats decompress-then-scan:
+    {!make} picks [`Compressed] at or above it, and the server's
+    native-path gate ({!Spanner_serve.Registry}) walks at most
+    bytes / [sweep_threshold] nodes before falling back. *)
+val sweep_threshold : float
+
 val choice : t -> choice
 val input : t -> input
 
@@ -85,25 +92,26 @@ val pp : Format.formatter -> t -> unit
     @raise Invalid_argument on batch shapes (use {!cursors}). *)
 val cursor : ?limits:Spanner_util.Limits.t -> t -> Cursor.t
 
-(** [cursors ?limits p] prepares every document of a batch plan and
-    returns per-document streams in input order, each metered by its
-    own gauge; a document whose preprocessing trips degrades to its
-    [Error] slot (enumeration-stage errors surface from the cursor's
-    pulls instead).  Single-document plans return one slot. *)
+(** [cursors ?limits p] prepares every document of a batch plan on the
+    caller's domain and returns per-document streams in input order,
+    each metered by its own gauge.  Work the batch shares runs first,
+    under one gauge per unit of sharing: a [Db]'s sweep over the shared
+    store, and one sweep per shard of a [Packed] corpus.  A document
+    whose preparation trips, or whose shared sweep tripped, degrades to
+    its [Error] slot (enumeration-stage errors surface from the
+    cursor's pulls instead).  Single-document plans return one slot. *)
 val cursors :
   ?limits:Spanner_util.Limits.t -> t -> (string * (Cursor.t, exn) result) array
 
 (** [relations ?jobs ?limits p] materialises every document of the
-    plan — {!cursors} + {!Cursor.to_relation}, fanned out across
-    [jobs] domains for the parallel-safe shapes ([Docs], [Db]'s
-    enumeration after its shared sweep, and [Packed]).  A multi-shard
-    [Packed] corpus fans out {e per shard}: each domain owns one shard
-    end to end (engine over the mapped columns, sweep, enumeration),
-    so a failing shard poisons only its own documents.  Matches the
-    pre-planner batch entry points
-    ({!Spanner_core.Compiled.eval_all_result},
-    {!Spanner_slp.Slp_spanner.eval_all}) result-for-result, including
-    partial-failure semantics. *)
+    plan: the preparation of {!cursors}, then
+    {!Cursor.to_relation}, with per-document work fanned out across
+    [jobs] domains ({!Spanner_util.Pool.map_result}).  A [Packed]
+    corpus under [`Compressed] runs in two waves: its per-shard sweeps first,
+    across [jobs] domains, then per-document enumeration over the
+    shared engines.  A failed sweep poisons the documents it covers
+    (the whole [Db], or one shard); any other failure poisons one
+    document.  A single-document plan runs on the caller's domain. *)
 val relations :
   ?jobs:int ->
   ?limits:Spanner_util.Limits.t ->

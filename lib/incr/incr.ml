@@ -32,15 +32,7 @@ let create ?(cache_capacity = 65536) ct db =
       db;
       cache = Lru.create ~capacity:cache_capacity ();
       nondet = not (Evset.is_deterministic (Compiled.evset ct));
-      ends =
-        (let ends = Spanner_util.Bitset.create (max 1 (Compiled.states ct)) in
-         for q = 0 to Compiled.states ct - 1 do
-           if Compiled.is_final_state ct q then Spanner_util.Bitset.add ends q
-           else
-             Compiled.iter_set_arcs ct q (fun _ q' ->
-                 if Compiled.is_final_state ct q' then Spanner_util.Bitset.add ends q)
-         done;
-         ends);
+      ends = Compiled.ending_states ct;
       created = 0;
     }
   in
@@ -72,96 +64,19 @@ let rec summary_g g s id =
 
 let summary s id = summary_g (Limits.unlimited ()) s id
 
-(* Pick lists are (0-based boundary, label id); identical to the
-   compiled engine's representation, decoded through the interned
-   marker-set alphabet. *)
-let tuple_of_picks ct picks extra =
-  let opens = Hashtbl.create 4 in
-  let tuple = ref Span_tuple.empty in
-  let apply (boundary, lbl) =
-    Marker.Set.iter
-      (function
-        | Marker.Open x -> Hashtbl.replace opens x (boundary + 1)
-        | Marker.Close x ->
-            let left = Option.value ~default:(boundary + 1) (Hashtbl.find_opt opens x) in
-            tuple := Span_tuple.bind !tuple x (Span.make left (boundary + 1)))
-      (Compiled.label_markers ct lbl)
-  in
-  Vec.iter apply picks;
-  (match extra with Some pick -> apply pick | None -> ());
-  !tuple
-
-(* Enumerate the marker-placing runs init→q over node [id], guided by
-   the summary matrices so that every branch taken yields at least one
-   run (the §4.2 scheme of Slp_spanner, over compiled tables).  [f] may
-   see the same tuple along several runs when the compiled automaton is
-   nondeterministic; [eval] collects into a relation, which dedups. *)
-let iter_runs_g g s id f =
-  let ct = s.ct in
-  let store = Doc_db.store s.db in
-  let n = Compiled.states ct in
-  let init = Compiled.initial ct in
-  let doc_len = Slp.len store id in
-  let picks = Vec.create () in
-  let rec go id p q offset k =
-    (* one unit per branch of the run enumeration *)
-    Limits.check g;
-    match Slp.node store id with
-    | Slp.Leaf _ ->
-        (* pure summary of a leaf = the letter step matrix *)
-        let letter = (summary_g g s id).Compiled.pure in
-        Compiled.iter_set_arcs ct p (fun lbl p' ->
-            if Bitmatrix.get letter p' q then begin
-              ignore (Vec.push picks (offset, lbl));
-              k ();
-              ignore (Vec.pop picks)
-            end)
-    | Slp.Pair (l, r) ->
-        let m = Slp.len store l in
-        let sl = summary_g g s l and sr = summary_g g s r in
-        for mid = 0 to n - 1 do
-          if Bitmatrix.get sl.Compiled.mixed p mid && Bitmatrix.get sr.Compiled.pure mid q then
-            go l p mid offset k;
-          if Bitmatrix.get sl.Compiled.pure p mid && Bitmatrix.get sr.Compiled.mixed mid q then
-            go r mid q (offset + m) k;
-          if Bitmatrix.get sl.Compiled.mixed p mid && Bitmatrix.get sr.Compiled.mixed mid q then
-            go l p mid offset (fun () -> go r mid q (offset + m) k)
-        done
-  in
-  let root = summary_g g s id in
-  for q = 0 to n - 1 do
-    let reach_pure = Bitmatrix.get root.Compiled.pure init q in
-    let reach_mixed = Bitmatrix.get root.Compiled.mixed init q in
-    if reach_pure || reach_mixed then begin
-      (* runs ending at q, then the trailing boundary's optional set arc *)
-      let endings = ref [] in
-      if Compiled.is_final_state ct q then endings := None :: !endings;
-      Compiled.iter_set_arcs ct q (fun lbl q' ->
-          if Compiled.is_final_state ct q' then endings := Some (doc_len, lbl) :: !endings);
-      List.iter
-        (fun ending ->
-          if reach_pure then f (tuple_of_picks ct picks ending);
-          if reach_mixed then go id init q 0 (fun () -> f (tuple_of_picks ct picks ending)))
-        !endings
-    end
-  done
-
-let iter_runs ?gauge s id f =
-  let g = match gauge with Some g -> g | None -> Limits.unlimited () in
-  iter_runs_g g s id f
-
 (* ------------------------------------------------------------------ *)
 (* Pull enumeration                                                    *)
 
-(* The explicit-machine counterpart of [iter_runs_g]: the same
-   frame-stack design as the native SLP cursor
-   ({!Spanner_slp.Slp_spanner.cursor}), over cached summaries instead
-   of prepared node matrices.  Summaries carry no transposed twins
-   (they are LRU-cached and transient), so split states are probed one
-   by one exactly as [go] above does — the win here is losing the
-   effect-handler inversion, not the scan.  Emission order matches
-   [iter_runs] exactly.  Metering mirrors [iter_runs_g]: one unit per
-   node descent, plus whatever summary misses cost on the way. *)
+(* Enumerate the marker-placing runs init→q over node [id], guided by
+   the summary matrices so that every branch taken yields at least one
+   run (the §4.2 scheme).  The same frame-stack machine as the native
+   SLP cursor ({!Spanner_slp.Slp_spanner.cursor}), and the same
+   emission order, over cached summaries instead of prepared node
+   matrices.  Summaries carry no transposed twins (they are LRU-cached
+   and transient), so split states are probed one by one.  Metering:
+   one unit per node descent, plus one per summary miss on the way.
+   A nondeterministic compiled automaton may yield one tuple along
+   several runs; [eval] collects into a relation, which dedups. *)
 
 type task =
   | Emit
@@ -229,7 +144,7 @@ let cursor ?gauge s id =
   }
 
 let start_expl cur id p q off k =
-  (* one unit per node descent, as in [iter_runs_g]'s [go] *)
+  (* one unit per node descent *)
   Limits.check cur.k_g;
   let s = cur.k_s in
   match Slp.node (Doc_db.store s.db) id with
@@ -268,7 +183,7 @@ let start_expl cur id p q off k =
 
 let perform cur k =
   match k with
-  | Emit -> Some (tuple_of_picks cur.k_s.ct cur.k_picks cur.k_ending)
+  | Emit -> Some (Compiled.tuple_of_picks cur.k_s.ct cur.k_picks cur.k_ending)
   | Expl x ->
       start_expl cur x.x_id x.x_p x.x_q x.x_off x.x_k;
       None
@@ -332,7 +247,7 @@ let cursor_next cur =
   while !result == None && not cur.k_done do
     if cur.k_emit_pure then begin
       cur.k_emit_pure <- false;
-      result := Some (tuple_of_picks ct cur.k_picks cur.k_ending)
+      result := Some (Compiled.tuple_of_picks ct cur.k_picks cur.k_ending)
     end
     else if cur.k_start_mixed then begin
       cur.k_start_mixed <- false;
@@ -372,25 +287,21 @@ let cursor_next cur =
   done;
   !result
 
+(* Every run counts against the tuple cap, before set semantics
+   collapse repeats. *)
 let eval ?(limits = Limits.none) s id =
   let g = Limits.start limits in
-  let r = ref (Span_relation.empty (Compiled.vars s.ct)) in
-  let count = ref 0 in
-  iter_runs_g g s id (fun tuple ->
-      incr count;
-      Limits.check_tuples g !count;
-      r := Span_relation.add !r tuple);
-  !r
+  let cur = cursor ~gauge:g s id in
+  let rec drain r runs =
+    match cursor_next cur with
+    | None -> r
+    | Some tuple ->
+        Limits.check_tuples g (runs + 1);
+        drain (Span_relation.add r tuple) (runs + 1)
+  in
+  drain (Span_relation.empty (Compiled.vars s.ct)) 0
 
 let eval_doc ?limits s name = eval ?limits s (Doc_db.find s.db name)
-
-let eval_all ?limits s =
-  (* Sequential on purpose: the cache and the store are shared and
-     mutable.  Per-document result slots mirror {!Doc_db.eval_all} —
-     one over-budget document must not take the batch down. *)
-  List.map
-    (fun name -> (name, match eval_doc ?limits s name with r -> Ok r | exception e -> Error e))
-    (Doc_db.names s.db)
 
 let edit ?limits s name e =
   let id = Cde.materialize s.db name e in

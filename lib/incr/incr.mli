@@ -25,10 +25,10 @@
 
     Evaluation enumerates runs through the summary matrices exactly
     like {!Spanner_slp.Slp_spanner} (§4.2), but over the compiled
-    tables and the shared cache.  Results are collected into a
-    relation, so a nondeterministic compiled automaton (which may
-    yield the same tuple along several runs) is handled by set
-    semantics. *)
+    tables and the shared cache, with one pull machine ({!cursor}).
+    {!eval} collects its runs into a relation, so a nondeterministic
+    compiled automaton (which may yield the same tuple along several
+    runs) is handled by set semantics. *)
 
 open Spanner_core
 module Slp = Spanner_slp.Slp
@@ -58,7 +58,7 @@ val compiled : session -> Compiled.t
 val database : session -> Doc_db.t
 
 (** [nondeterministic s] is [true] when the compiled automaton is not
-    deterministic — enumeration ({!iter_runs}, {!cursor}) may then
+    deterministic — enumeration ({!cursor}) may then
     repeat tuples and set-semantics consumers must deduplicate.
     Computed once at session creation. *)
 val nondeterministic : session -> bool
@@ -68,42 +68,31 @@ val nondeterministic : session -> bool
 val summary : session -> Slp.id -> Compiled.summary
 
 (** [eval ?limits s id] is ⟦ct⟧(𝔇(id)), computed from cached
-    summaries; only nodes missing from the cache are (recursively)
-    summarised.  Under [limits], every summary miss and every branch
-    of the run enumeration consumes fuel, the deadline is probed
-    periodically, and every enumerated run counts against the tuple
-    cap — an over-approximation of the distinct-tuple count when the
-    compiled automaton is nondeterministic
-    ({!Spanner_util.Limits.Spanner_error} on violation — the cache
-    keeps whatever summaries were completed, so a retry under a larger
-    budget resumes the work already paid for). *)
+    summaries by draining a {!cursor}; only nodes missing from the
+    cache are (recursively) summarised.  Under [limits], every summary
+    miss and every node descent of the run enumeration consumes fuel,
+    the deadline is probed periodically, and every enumerated run
+    counts against the tuple cap — an over-approximation of the
+    distinct-tuple count when the compiled automaton is
+    nondeterministic ({!Spanner_util.Limits.Spanner_error} on
+    violation — the cache keeps whatever summaries were completed, so
+    a retry under a larger budget resumes the work already paid
+    for). *)
 val eval : ?limits:Spanner_util.Limits.t -> session -> Slp.id -> Span_relation.t
-
-(** [iter_runs ?gauge s id f] enumerates the accepting runs of the
-    compiled automaton over 𝔇(id) from cached summaries, calling [f]
-    once per run (once per tuple when the automaton is deterministic;
-    a nondeterministic one may repeat tuples — {!eval} deduplicates
-    through set semantics, and the streaming layer
-    ({!Spanner_engine.Cursor.of_incr}) deduplicates on the fly).
-    Summary misses and enumeration branches are metered by [gauge]
-    when given — the hook the cursor layer pulls through, so budgets
-    fire mid-stream. *)
-val iter_runs :
-  ?gauge:Spanner_util.Limits.gauge -> session -> Slp.id -> (Span_tuple.t -> unit) -> unit
 
 (** {2 Pull enumeration}
 
-    The native pull counterpart of {!iter_runs} — the same explicit
-    machine as {!Spanner_slp.Slp_spanner.cursor}, over cached
-    summaries.  Emission order is identical to {!iter_runs}. *)
+    The same explicit machine as {!Spanner_slp.Slp_spanner.cursor},
+    over cached summaries, with the same emission order on the same
+    store and automaton. *)
 
 type cursor
 
 (** [cursor ?gauge s id] opens a pull cursor over the accepting runs
     of 𝔇(id).  Summaries missing from the cache are computed (and
     metered) lazily as the descent reaches them; [gauge] meters every
-    node descent and summary miss exactly as {!iter_runs} does, so
-    budgets fire mid-stream.  The session's cache and store are shared
+    node descent and summary miss (one unit each), so budgets fire
+    mid-stream.  The session's cache and store are shared
     mutable state: pulls must stay on the session's domain. *)
 val cursor : ?gauge:Spanner_util.Limits.gauge -> session -> Slp.id -> cursor
 
@@ -116,16 +105,6 @@ val cursor_next : cursor -> Span_tuple.t option
     [name].
     @raise Not_found on unknown names. *)
 val eval_doc : ?limits:Spanner_util.Limits.t -> session -> string -> Span_relation.t
-
-(** [eval_all ?limits s] evaluates every document of the database in
-    designation order — {!Doc_db.eval_all} without decompression,
-    sharing one cache across all documents.  Sequential (the cache and
-    store are shared and mutable), with per-document partial-failure
-    slots: each document is metered by its own gauge from [limits],
-    and a failing document degrades to [Error] while the rest of the
-    batch completes. *)
-val eval_all :
-  ?limits:Spanner_util.Limits.t -> session -> (string * (Span_relation.t, exn) result) list
 
 (** [edit ?limits s name e] applies the CDE-expression [e], designates
     the result as document [name] ({!Cde.materialize}), and returns

@@ -67,6 +67,7 @@ module Arena = Spanner_store.Arena
 module Corpus = Spanner_store.Corpus
 module Optimizer = Spanner_engine.Optimizer
 module Cursor = Spanner_engine.Cursor
+module Plan = Spanner_engine.Plan
 module Slp_spanner = Spanner_slp.Slp_spanner
 
 (* A store is either heap-built (LOAD DOC compressions, or an SLPDB
@@ -297,18 +298,15 @@ let doc_text t ~gauge ~store ~doc =
 (* ------------------------------------------------------------------ *)
 (* Native compressed-domain cursors *)
 
-(* Below this the document barely compresses and the decompressed-text
-   path (which also feeds the text LRU) wins; above it, skipping the
-   decompression pays for the matrix sweep. *)
-let native_min_ratio = 2.0
-
 (* [reachable_within frozen id budget] is the number of nodes
    reachable from [id], or [None] as soon as the count exceeds
    [budget] — O(min(reachable, budget)) ids walked, so deciding that a
    document is too incompressible for the native path costs at most
-   the node budget the ratio threshold allows it, never a full-store
-   walk.  (The whole-store node count is useless as a denominator: a
-   store serving many documents dilutes every per-document ratio.) *)
+   the node budget the planner's ratio threshold allows it, never a
+   full-store walk.  (The whole-store node count is useless as a
+   denominator: a store serving many documents dilutes every
+   per-document ratio.)  Below the threshold the decompressed-text
+   path, which also feeds the text LRU, wins. *)
 let reachable_within frozen id budget =
   let seen = Hashtbl.create 256 in
   let count = ref 0 in
@@ -372,7 +370,7 @@ let native_cursor t ~gauge ~normalized ~store ~doc plan =
         | Some native -> native
         | None ->
             let budget =
-              int_of_float (float_of_int (Slp.frozen_len frozen id) /. native_min_ratio)
+              int_of_float (float_of_int (Slp.frozen_len frozen id) /. Plan.sweep_threshold)
             in
             let native = reachable_within frozen id budget <> None in
             locked t (fun () -> Hashtbl.replace entry.gate (shard, id) native);

@@ -1,6 +1,4 @@
 module Vec = Spanner_util.Vec
-module Pool = Spanner_util.Pool
-module Limits = Spanner_util.Limits
 
 type t = { store : Slp.store; names : string Vec.t; table : (string, Slp.id) Hashtbl.t }
 
@@ -27,33 +25,6 @@ let total_len db =
   List.fold_left (fun acc name -> acc + Slp.len db.store (find db name)) 0 (names db)
 
 let freeze db = Slp.freeze db.store
-
-let eval_all ?jobs ?(limits = Limits.none) ?(engine = `Compressed) db ct =
-  let names = Vec.to_array db.names in
-  let roots = Array.map (find db) names in
-  let results =
-    match engine with
-    | `Compressed ->
-        (* Evaluate in the compressed domain: one matrix sweep over
-           the shared DAG (shared nodes paid once), then parallel
-           per-document enumeration over a frozen snapshot. *)
-        let eng = Slp_spanner.of_compiled ct db.store in
-        Slp_spanner.eval_all ?jobs ~limits eng roots
-    | `Decompress ->
-        (* Decompress-then-evaluate baseline.  The store is frozen
-           once, so decompression itself fans out too, and each
-           document's decompression is charged to the same gauge as
-           its evaluation — an over-budget document degrades to its
-           [Error] slot before its bytes pile up. *)
-        let fz = Slp.freeze db.store in
-        Pool.map_result ?jobs
-          (fun id ->
-            let g = Limits.start limits in
-            let doc = Slp.frozen_to_string ~gauge:g fz id in
-            Spanner_core.Compiled.eval_with_gauge g ct doc)
-          roots
-  in
-  Array.to_list (Array.map2 (fun name r -> (name, r)) names results)
 
 let compressed_size db =
   let seen = Hashtbl.create 256 in

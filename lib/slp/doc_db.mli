@@ -40,34 +40,3 @@ val compressed_size : t -> int
 (** [freeze db] is an immutable snapshot of the shared store
     ({!Slp.freeze}): safe for concurrent reads across domains. *)
 val freeze : t -> Slp.frozen
-
-(** [eval_all ?jobs ?limits ?engine db ct] evaluates the compiled
-    spanner [ct] on every document of the database, in insertion
-    order: the one-spanner/many-documents workload of §4.
-
-    With [~engine:`Compressed] (the default), evaluation stays in the
-    compressed domain ({!Slp_spanner}): one bottom-up matrix sweep
-    over the shared SLP computes each distinct node exactly once —
-    O(distinct compressed nodes), never O(Σ|Dᵢ|) — then per-document
-    enumeration fans out over [jobs] domains against a frozen store
-    snapshot.  With [~engine:`Decompress] (the baseline the §4
-    experiments compare against), each document is decompressed from
-    a frozen snapshot and evaluated uncompressed, in parallel; its
-    decompression is charged to the same per-document gauge as its
-    evaluation.
-
-    The result list is deterministic and independent of [jobs], and
-    both engines produce the same relations.  Partial-failure
-    semantics: each document is metered by its own gauge started from
-    [limits], and a document that trips a budget (or fails for any
-    other reason) degrades to its [Error] slot while every healthy
-    document still completes.  (Under [`Compressed], a budget trip
-    during the shared sweep has no healthy documents to salvage:
-    every slot reports the error.) *)
-val eval_all :
-  ?jobs:int ->
-  ?limits:Spanner_util.Limits.t ->
-  ?engine:[ `Compressed | `Decompress ] ->
-  t ->
-  Spanner_core.Compiled.t ->
-  (string * (Spanner_core.Span_relation.t, exn) result) list

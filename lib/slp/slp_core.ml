@@ -24,20 +24,32 @@ let selections_hold t id tuple =
           List.for_all (fun s -> Slp_hash.factor_equal t.hash id (range first) (range s)) rest)
     t.core.Core_spanner.selections
 
+(* The automaton's tuples on 𝔇(id), pulled one at a time from the
+   native cursor; the engine is deterministic ([Slp_spanner.create]),
+   so each tuple comes once. *)
+let tuples t id =
+  Slp_spanner.prepare t.engine id;
+  let cur = Slp_spanner.cursor t.engine id in
+  fun () -> Slp_spanner.cursor_next cur
+
 let eval t id =
-  let result = ref (Span_relation.empty (Core_spanner.schema t.core)) in
-  Slp_spanner.iter t.engine id (fun tuple ->
-      if selections_hold t id tuple then
-        result :=
-          Span_relation.add !result (Span_tuple.project t.core.Core_spanner.projection tuple));
-  !result
+  let next = tuples t id in
+  let rec go r =
+    match next () with
+    | None -> r
+    | Some tuple ->
+        go
+          (if selections_hold t id tuple then
+             Span_relation.add r (Span_tuple.project t.core.Core_spanner.projection tuple)
+           else r)
+  in
+  go (Span_relation.empty (Core_spanner.schema t.core))
 
 let nonempty_on t id =
-  let exception Found in
-  try
-    Slp_spanner.iter t.engine id (fun tuple ->
-        if selections_hold t id tuple then raise Found);
-    false
-  with Found -> true
+  let next = tuples t id in
+  let rec go () =
+    match next () with None -> false | Some tuple -> selections_hold t id tuple || go ()
+  in
+  go ()
 
 let count t id = Span_relation.cardinal (eval t id)

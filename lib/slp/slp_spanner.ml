@@ -2,7 +2,6 @@ open Spanner_core
 module Bitset = Spanner_util.Bitset
 module Bitmatrix = Spanner_util.Bitmatrix
 module Vec = Spanner_util.Vec
-module Pool = Spanner_util.Pool
 module Limits = Spanner_util.Limits
 
 (* The engine runs on Compiled's dense tables.  Node matrices live in
@@ -16,7 +15,7 @@ module Limits = Spanner_util.Limits
    run on one domain.  Everything else — enumeration, counting —
    only reads the frozen snapshot and already-filled slots, so once
    the roots of interest are prepared, many domains may enumerate
-   concurrently ([eval_all] below). *)
+   concurrently (Plan's batch path does). *)
 
 type engine = {
   ct : Compiled.t;
@@ -37,16 +36,6 @@ type engine = {
   counts : (Slp.id * int * int, int) Hashtbl.t; (* mixed-run counts *)
 }
 
-let ending_states ct =
-  let ends = Bitset.create (max 1 (Compiled.states ct)) in
-  for q = 0 to Compiled.states ct - 1 do
-    if Compiled.is_final_state ct q then Bitset.add ends q
-    else
-      Compiled.iter_set_arcs ct q (fun _ q' ->
-          if Compiled.is_final_state ct q' then Bitset.add ends q)
-  done;
-  ends
-
 let make_engine ct store frozen =
   let n = max 1 (Slp.frozen_size frozen) in
   let ncls = max 1 (Compiled.classes ct) in
@@ -55,7 +44,7 @@ let make_engine ct store frozen =
     store;
     set_step = Compiled.set_step_matrix ct;
     nondet = not (Evset.is_deterministic (Compiled.evset ct));
-    ends = ending_states ct;
+    ends = Compiled.ending_states ct;
     frozen;
     pure = Array.make n None;
     mixed = Array.make n None;
@@ -78,8 +67,6 @@ let of_frozen ct frozen = make_engine ct None frozen
 let create e store =
   let auto = if Evset.is_deterministic e then e else Evset.determinize e in
   of_compiled (Compiled.of_evset auto) store
-
-let compiled engine = engine.ct
 
 let nondeterministic engine = engine.nondet
 
@@ -237,101 +224,17 @@ let prepare_gauge g engine id =
 let prepare engine id = prepare_gauge (Limits.unlimited ()) engine id
 
 (* ------------------------------------------------------------------ *)
-(* Enumeration                                                         *)
+(* Enumeration: a native pull machine (Muñoz & Riveros)               *)
 
-(* Enumerate every run p→q over node [id] that places ≥ 1 marker.
-   Picks (0-based boundary, label id) accumulate in [picks]; [k] is
-   invoked once per complete run.  Matrices guarantee every recursive
-   branch taken yields at least one run, so there is no dead search.
-   Recursion depth is bounded by the number of markers placed plus the
-   depth of the descent to each, not by |S|. *)
-let enum_mixed engine picks id0 p0 q0 offset0 k0 =
-  let ct = engine.ct in
-  let fz = engine.frozen in
-  let n = nstates engine in
-  let rec go id p q offset k =
-    match Slp.frozen_node fz id with
-    | Slp.Leaf c ->
-        let lm = leaf_pure engine c in
-        Compiled.iter_set_arcs ct p (fun lbl p' ->
-            if Bitmatrix.get lm p' q then begin
-              ignore (Vec.push picks (offset, lbl));
-              k ();
-              ignore (Vec.pop picks)
-            end)
-    | Slp.Pair (l, r) ->
-        let m = Slp.frozen_len fz l in
-        let pure_l = pure_m engine l and mixed_l = mixed_m engine l in
-        let pure_r = pure_m engine r and mixed_r = mixed_m engine r in
-        for mid = 0 to n - 1 do
-          if Bitmatrix.get mixed_l p mid && Bitmatrix.get pure_r mid q then
-            go l p mid offset k;
-          if Bitmatrix.get pure_l p mid && Bitmatrix.get mixed_r mid q then
-            go r mid q (offset + m) k;
-          if Bitmatrix.get mixed_l p mid && Bitmatrix.get mixed_r mid q then
-            go l p mid offset (fun () -> go r mid q (offset + m) k)
-        done
-  in
-  go id0 p0 q0 offset0 k0
-
-let tuple_of_picks ct picks extra =
-  let opens = Hashtbl.create 4 in
-  let tuple = ref Span_tuple.empty in
-  let apply (boundary, lbl) =
-    Marker.Set.iter
-      (function
-        | Marker.Open x -> Hashtbl.replace opens x (boundary + 1)
-        | Marker.Close x ->
-            let left = Option.value ~default:(boundary + 1) (Hashtbl.find_opt opens x) in
-            tuple := Span_tuple.bind !tuple x (Span.make left (boundary + 1)))
-      (Compiled.label_markers ct lbl)
-  in
-  Vec.iter apply picks;
-  (match extra with Some pick -> apply pick | None -> ());
-  !tuple
-
-(* Read-only enumeration over already-prepared matrices; the [picks]
-   vector is the only mutable state and is local to this call, so
-   concurrent calls on different documents are safe. *)
-let iter_prepared engine id f =
-  let ct = engine.ct in
-  let n = nstates engine in
-  let doc_len = Slp.frozen_len engine.frozen id in
-  let init = Compiled.initial ct in
-  let pure_root = pure_m engine id and mixed_root = mixed_m engine id in
-  let picks = Vec.create () in
-  for q = 0 to n - 1 do
-    let reach_pure = Bitmatrix.get pure_root init q in
-    let reach_mixed = Bitmatrix.get mixed_root init q in
-    if reach_pure || reach_mixed then begin
-      (* runs ending at q, then the trailing boundary. *)
-      let endings = ref [] in
-      if Compiled.is_final_state ct q then endings := None :: !endings;
-      Compiled.iter_set_arcs ct q (fun lbl q' ->
-          if Compiled.is_final_state ct q' then endings := Some (doc_len, lbl) :: !endings);
-      List.iter
-        (fun ending ->
-          if reach_pure then f (tuple_of_picks ct picks ending);
-          if reach_mixed then
-            enum_mixed engine picks id init q 0 (fun () -> f (tuple_of_picks ct picks ending)))
-        !endings
-    end
-  done
-
-let iter engine id f =
-  prepare engine id;
-  iter_prepared engine id f
-
-(* ------------------------------------------------------------------ *)
-(* Native pull enumeration (ROADMAP item 3, Muñoz & Riveros)           *)
-
-(* The pull cursor is the CPS enumerator above turned into an explicit
-   machine: continuations become [task] values, the recursion becomes a
-   frame stack, and each [cursor_next] runs the machine until the next
-   run completes.  The enumeration order — and therefore the run
-   multiset — is identical to [iter_prepared]: per ending state, per
-   ending, pure run first, then mixed runs in (mid asc; L, R, B) order
-   at every Pair.
+(* Enumerate every accepting run init→q over the prepared matrices.
+   Picks (0-based boundary, label id) accumulate in [c_picks]; the
+   matrices guarantee that every branch taken yields at least one run,
+   so there is no dead search.  The depth-first search is an explicit
+   machine: continuations are [task] values, the recursion is a frame
+   stack, and each [cursor_next] runs the machine until the next run
+   completes.  Order: per ending state, per ending, the letters-only
+   run first, then mixed runs in (mid asc; L, R, B) order at every
+   Pair — the order [Incr.cursor] emits too.
 
    Two things make the delay small and document-independent:
 
@@ -341,8 +244,7 @@ let iter engine id f =
      eight at a time instead of being probed one by one;
    - the machine is loop-based: no recursion, no effect handler, no
      per-pull fiber switch, and arbitrarily deep SLPs (a left-comb
-     append log, say) cannot overflow the stack — which the recursive
-     [enum_mixed] above can. *)
+     append log, say) cannot overflow the stack. *)
 
 type task =
   | Emit
@@ -454,7 +356,7 @@ let start_expl cur id p q off k =
 (* A run just completed: emit, or explore the continuation's range. *)
 let perform cur k =
   match k with
-  | Emit -> Some (tuple_of_picks cur.c_e.ct cur.c_picks cur.c_ending)
+  | Emit -> Some (Compiled.tuple_of_picks cur.c_e.ct cur.c_picks cur.c_ending)
   | Expl x ->
       start_expl cur x.x_id x.x_p x.x_q x.x_off x.x_k;
       None
@@ -524,7 +426,7 @@ let cursor_next cur =
   while !result == None && not cur.c_done do
     if cur.c_emit_pure then begin
       cur.c_emit_pure <- false;
-      result := Some (tuple_of_picks ct cur.c_picks cur.c_ending)
+      result := Some (Compiled.tuple_of_picks ct cur.c_picks cur.c_ending)
     end
     else if cur.c_start_mixed then begin
       cur.c_start_mixed <- false;
@@ -552,8 +454,7 @@ let cursor_next cur =
           if q < 0 then cur.c_done <- true
           else begin
             cur.c_q <- q;
-            (* runs ending at q, then the trailing boundary — same list
-               order as [iter_prepared] *)
+            (* runs ending at q, then the trailing boundary *)
             let endings = ref [] in
             if Compiled.is_final_state ct q then endings := None :: !endings;
             Compiled.iter_set_arcs ct q (fun lbl q' ->
@@ -619,34 +520,9 @@ let cardinal engine id =
   !total
 
 let to_relation engine id =
-  let r = ref (Span_relation.empty (vars engine)) in
-  iter engine id (fun t -> r := Span_relation.add !r t);
-  !r
-
-(* ------------------------------------------------------------------ *)
-(* Parallel batch evaluation                                           *)
-
-(* Collect one prepared document under its own gauge.  The tuple cap
-   counts distinct tuples (the relation deduplicates runs of a
-   non-deterministic automaton), and is only probed when a cap is
-   actually set — Span_relation.cardinal is not O(1). *)
-let collect g engine id =
-  let cap = (Limits.spec g).Limits.max_tuples <> max_int in
-  let r = ref (Span_relation.empty (vars engine)) in
-  iter_prepared engine id (fun t ->
-      Limits.check g;
-      r := Span_relation.add !r t;
-      if cap then Limits.check_tuples g (Span_relation.cardinal !r));
-  !r
-
-let eval_all ?jobs ?(limits = Limits.none) engine roots =
-  (* One sweep covers every root: shared nodes get their matrices
-     exactly once.  The sweep itself runs under a single gauge — if it
-     trips there are no matrices to enumerate from, so every slot
-     degrades to that error. *)
-  match
-    let g = Limits.start limits in
-    Array.iter (fun id -> prepare_gauge g engine id) roots
-  with
-  | exception e -> Array.map (fun _ -> Error e) roots
-  | () -> Pool.map_result ?jobs (fun id -> collect (Limits.start limits) engine id) roots
+  prepare engine id;
+  let cur = cursor engine id in
+  let rec drain r =
+    match cursor_next cur with None -> r | Some t -> drain (Span_relation.add r t)
+  in
+  drain (Span_relation.empty (vars engine))

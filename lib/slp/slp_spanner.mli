@@ -29,15 +29,15 @@
     With a deterministic automaton ({!create} determinises) runs are
     bijective with result tuples, so enumeration is duplicate-free.
     {!of_compiled} accepts any compiled automaton; on a
-    non-deterministic one, {!iter} may repeat tuples (and {!cardinal}
-    counts runs) — {!to_relation} and {!eval_all} deduplicate and are
+    non-deterministic one, {!cursor} may repeat tuples (and
+    {!cardinal} counts runs) — {!to_relation} deduplicates and is
     exact either way.
 
     Concurrency: {!prepare} mutates the engine and must stay on one
     domain, but enumeration over prepared nodes only reads a frozen
-    store snapshot ({!Slp.freeze}) and filled matrix slots —
-    {!eval_all} exploits this to sweep once and enumerate all
-    documents in parallel. *)
+    store snapshot ({!Slp.freeze}) and filled matrix slots — a batch
+    sweeps once and then enumerates all documents in parallel
+    ({!Spanner_engine.Plan.relations}). *)
 
 open Spanner_core
 
@@ -49,9 +49,8 @@ val create : Evset.t -> Slp.store -> engine
 
 (** [of_compiled ct store] builds an engine on an existing compiled
     automaton, sharing its tables (no recompilation).  If [ct] is not
-    deterministic, enumeration may visit a tuple once per run — use
-    relation-level entry points ({!to_relation}, {!eval_all}), which
-    deduplicate. *)
+    deterministic, enumeration may visit a tuple once per run —
+    {!to_relation} and {!Spanner_engine.Cursor.of_slp} deduplicate. *)
 val of_compiled : Compiled.t -> Slp.store -> engine
 
 (** [of_frozen ct fz] builds an engine directly over a frozen snapshot
@@ -60,9 +59,6 @@ val of_compiled : Compiled.t -> Slp.store -> engine
     The snapshot is never refreshed; ids beyond [Slp.frozen_size fz]
     do not exist.  Same enumeration caveats as {!of_compiled}. *)
 val of_frozen : Compiled.t -> Slp.frozen -> engine
-
-(** [compiled engine] is the underlying compiled automaton. *)
-val compiled : engine -> Compiled.t
 
 (** [vars engine] is the spanner's variable set. *)
 val vars : engine -> Variable.Set.t
@@ -78,22 +74,8 @@ val prepare : engine -> Slp.id -> unit
     (already-filled slots stay valid; the sweep is resumable). *)
 val prepare_gauge : Spanner_util.Limits.gauge -> engine -> Slp.id -> unit
 
-(** [iter engine id f] enumerates ⟦e⟧(𝔇(id)), calling [f] once per
-    accepting run (once per tuple when the automaton is
-    deterministic — see {!create} vs {!of_compiled}). *)
-val iter : engine -> Slp.id -> (Span_tuple.t -> unit) -> unit
-
-(** [iter_prepared engine id f] is {!iter} assuming the matrices of
-    every node reachable from [id] are already forced ({!prepare} /
-    {!prepare_gauge}): it only {e reads} filled slots and the frozen
-    store snapshot, so concurrent calls on different roots are safe —
-    and a streaming consumer ({!Spanner_engine.Cursor.of_slp}) can pull
-    tuples lazily without re-entering the mutating sweep.  Behaviour
-    is unspecified if [id] was never prepared. *)
-val iter_prepared : engine -> Slp.id -> (Span_tuple.t -> unit) -> unit
-
 (** [nondeterministic engine] is [true] when the compiled automaton is
-    not deterministic — i.e. when enumeration ({!iter}, {!cursor}) may
+    not deterministic — i.e. when enumeration ({!cursor}) may
     visit a tuple once per accepting run and a streaming consumer that
     wants set semantics must deduplicate.  Computed once at engine
     construction, so per-cursor setup does not pay the evset scan. *)
@@ -101,22 +83,20 @@ val nondeterministic : engine -> bool
 
 (** {2 Pull enumeration}
 
-    The native constant-delay producer (ROADMAP item 3).  A cursor is
+    The native constant-delay producer (Muñoz & Riveros).  A cursor is
     the suspended state of the run enumeration — an explicit frame
     stack over the parse tree plus the pick list of the run under
     construction — and each {!cursor_next} resumes it until the next
-    run completes.  Compared to driving {!iter_prepared} through an
-    effect handler, there is no fiber, no handler frame, and no
+    run completes.  There is no fiber, no handler frame, and no
     per-pull context switch; delay between tuples is bounded by the
     descent work alone, which the per-node transposed matrices reduce
     to byte-parallel candidate scans ({!Spanner_util.Bitset.first_common_from}).
 
-    Tuples come out in {e exactly} the order {!iter_prepared} emits
-    them (same runs, same order), so the two are interchangeable
-    downstream.  A cursor only reads prepared matrix slots and the
-    frozen snapshot captured at creation: cursors on different roots
-    may run on different domains, but creation requires the root to be
-    prepared first. *)
+    Runs come out in the same order as {!Spanner_incr.Incr.cursor}'s
+    over the same store and automaton.  A cursor only reads prepared
+    matrix slots and the frozen snapshot captured at creation: cursors
+    on different roots may run on different domains, but creation
+    requires the root to be prepared first. *)
 
 type cursor
 
@@ -135,25 +115,10 @@ val cursor_next : cursor -> Span_tuple.t option
     Equals |⟦e⟧(𝔇(id))| when the automaton is deterministic. *)
 val cardinal : engine -> Slp.id -> int
 
-(** [to_relation engine id] materialises the result. *)
+(** [to_relation engine id] prepares [id] and drains its {!cursor}
+    into a relation (set semantics: repeated runs collapse). *)
 val to_relation : engine -> Slp.id -> Span_relation.t
 
 (** [matrices_computed engine] is the number of memoised node
     matrices (preprocessing bookkeeping for the experiments). *)
 val matrices_computed : engine -> int
-
-(** [eval_all ?jobs ?limits engine roots] evaluates every root of
-    [roots] — the one-spanner/many-documents workload of §4 — in two
-    phases: one bottom-up sweep computes the matrices of all roots
-    (shared nodes are computed exactly once, under a single gauge
-    started from [limits]; if that sweep trips, every slot holds the
-    error), then per-document enumeration fans out across [jobs]
-    domains ({!Spanner_util.Pool}), each document metered by its own
-    gauge with partial-failure semantics.  Results are in input order
-    and independent of [jobs]. *)
-val eval_all :
-  ?jobs:int ->
-  ?limits:Spanner_util.Limits.t ->
-  engine ->
-  Slp.id array ->
-  (Span_relation.t, exn) result array

@@ -1,17 +1,18 @@
 (* Differential tests for the compiled evaluation engine:
 
-   - Compiled = Reference (the pre-compilation enumeration engine) on
-     random (spanner, document) pairs — same relation, duplicate-free,
-     same cardinality; both for raw and determinised automata (the
-     latter exercises the dense single-target letter table).
-   - Batch evaluation is deterministic: eval_all with 1 domain equals
-     eval_all with 4 domains, element by element.
+   - Compiled = Evset.eval (the regular-spanner oracle) on random
+     (spanner, document) pairs — same relation, duplicate-free, same
+     cardinality; both for raw and determinised automata (the latter
+     exercises the dense single-target letter table).
+   - Batch evaluation is deterministic: Plan.relations over plain
+     documents with 1 domain equals 4 domains, element by element.
    - The Charset table/byte-class helpers and the domain pool that the
      engine is built on. *)
 
 open Spanner_core
 module Charset = Spanner_fa.Charset
 module Pool = Spanner_util.Pool
+module Plan = Spanner_engine.Plan
 
 let v = Variable.of_string
 
@@ -80,7 +81,7 @@ let print_pair (f, doc) = Printf.sprintf "%s on %S" (Regex_formula.to_string f) 
 (* One check of compiled-vs-reference on a single automaton: equal
    relations, equal O(1) cardinal, and duplicate-free enumeration. *)
 let agrees e doc =
-  let reference = Enumerate.Reference.to_relation e doc in
+  let reference = Evset.eval e doc in
   let ct = Compiled.of_evset e in
   let p = Compiled.prepare ct doc in
   let enumerated = ref 0 in
@@ -130,10 +131,14 @@ let prop_eval_all_deterministic =
     ~print:(fun (f, docs) ->
       Printf.sprintf "%s on %d docs" (Regex_formula.to_string f) (List.length docs))
     (fun (f, docs) ->
-      let ct = Compiled.of_formula f in
-      let docs = Array.of_list docs in
-      let seq = Compiled.eval_all ~jobs:1 ct docs in
-      let par = Compiled.eval_all ~jobs:4 ct docs in
+      let plan =
+        Plan.make (Compiled.of_formula f)
+          (Plan.Docs (Array.of_list (List.mapi (fun i d -> (string_of_int i, d)) docs)))
+      in
+      let relations jobs =
+        Array.map (fun (_, r) -> Result.get_ok r) (Plan.relations ~jobs plan)
+      in
+      let seq = relations 1 and par = relations 4 in
       Array.length seq = Array.length par
       && Array.for_all2 Span_relation.equal seq par)
 
@@ -210,11 +215,11 @@ let test_pool_exception () =
 let test_batch_example () =
   (* Example 1.1's spanner over a few concrete documents. *)
   let ct = Compiled.of_formula (Regex_formula.parse "!x{[ab]*}!y{b}!z{[ab]*}") in
-  let docs = [| "ababbab"; "abab"; ""; "bbbb" |] in
-  let rs = Compiled.eval_all ~jobs:2 ct docs in
+  let docs = [| ("d1", "ababbab"); ("d2", "abab"); ("d3", ""); ("d4", "bbbb") |] in
+  let rs = Plan.relations ~jobs:2 (Plan.make ct (Plan.Docs docs)) in
   Alcotest.(check (list int))
     "per-document cardinalities" [ 4; 2; 0; 4 ]
-    (Array.to_list (Array.map Span_relation.cardinal rs))
+    (Array.to_list (Array.map (fun (_, r) -> Span_relation.cardinal (Result.get_ok r)) rs))
 
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in

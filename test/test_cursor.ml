@@ -2,14 +2,16 @@
 
    - Differential drains: for every engine (compiled, SLP-compressed,
      incremental) and random (formula, document) pairs, fully draining
-     the cursor yields exactly the engine's materialising relation.
+     the cursor yields exactly Compiled.eval on the plain text.
    - Early termination: take k / first never pull more than k tuples
      from the engine (the [Cursor.pulls] instrumentation), and
      to_relation (take n c) equals the first n tuples of a full drain.
    - Consolidation composes with cursors: every policy agrees between
      a streamed and a materialised relation.
    - Cursor mechanics (peek/drop/shared take views), gauge probing
-     mid-stream, and the planner's choices/execution. *)
+     mid-stream, and the planner's choices/execution — including
+     packed corpora of 1–3 shards, where relations, drained cursors and
+     Compiled.eval agree and a sweep that trips poisons only its shard. *)
 
 open Spanner_core
 module Charset = Spanner_fa.Charset
@@ -18,6 +20,8 @@ module Slp = Spanner_slp.Slp
 module Builder = Spanner_slp.Builder
 module Balance = Spanner_slp.Balance
 module Doc_db = Spanner_slp.Doc_db
+module Arena = Spanner_store.Arena
+module Corpus = Spanner_store.Corpus
 module Slp_spanner = Spanner_slp.Slp_spanner
 module Incr = Spanner_incr.Incr
 module Cursor = Spanner_engine.Cursor
@@ -120,7 +124,7 @@ let incr_fixture f doc =
   (session, Doc_db.find db "doc")
 
 (* ------------------------------------------------------------------ *)
-(* Differential drains: cursor = pre-cursor relation, per engine *)
+(* Differential drains: cursor = Compiled.eval, per engine *)
 
 let prop_drain_compiled =
   QCheck2.Test.make ~name:"drain of_compiled = Compiled.eval" ~count:300 gen_pair
@@ -129,20 +133,20 @@ let prop_drain_compiled =
       Span_relation.equal (Cursor.to_relation (compiled_cursor ct doc)) (Compiled.eval ct doc))
 
 let prop_drain_slp =
-  QCheck2.Test.make ~name:"drain of_slp = Slp_spanner.to_relation" ~count:200 gen_pair1
+  QCheck2.Test.make ~name:"drain of_slp = Compiled.eval on the text" ~count:200 gen_pair1
     ~print:print_pair (fun (f, doc) ->
       let engine, id = slp_fixture f doc in
       Span_relation.equal
         (Cursor.to_relation (Cursor.of_slp engine id))
-        (Slp_spanner.to_relation engine id))
+        (Compiled.eval (Compiled.of_formula f) doc))
 
 let prop_drain_incr =
-  QCheck2.Test.make ~name:"drain of_incr = Incr.eval" ~count:200 gen_pair1
+  QCheck2.Test.make ~name:"drain of_incr = Compiled.eval on the text" ~count:200 gen_pair1
     ~print:print_pair (fun (f, doc) ->
       let session, id = incr_fixture f doc in
       Span_relation.equal
         (Cursor.to_relation (Cursor.of_incr session id))
-        (Incr.eval session id))
+        (Compiled.eval (Compiled.of_formula f) doc))
 
 (* ------------------------------------------------------------------ *)
 (* Early termination: take k pulls at most k tuples from the engine *)
@@ -344,6 +348,90 @@ let test_plan_partial_failure () =
   | _, Error e -> Alcotest.failf "unexpected error: %s" (Printexc.to_string e)
   | _, Ok _ -> Alcotest.fail "explosive document should trip the tuple cap"
 
+(* An in-memory packed corpus, one arena per element of [shards], each
+   a list of (name, text). *)
+let packed_corpus shards =
+  let db = Doc_db.create () in
+  Corpus.of_arenas
+    (Array.map
+       (fun docs ->
+         let roots = List.map (fun (name, text) -> (name, Doc_db.add_string db name text)) docs in
+         Arena.of_string (Arena.pack_bytes (Doc_db.store db) roots))
+       shards)
+
+let prop_plan_packed =
+  QCheck2.Test.make
+    ~name:"packed corpora: relations = drained cursors = Compiled.eval, any job count"
+    ~count:60
+    QCheck2.Gen.(
+      gen_formula >>= fun f ->
+      1 -- 3 >>= fun n ->
+      list_size (1 -- 6) gen_doc1 >>= fun docs -> return (f, n, docs))
+    ~print:(fun (f, n, docs) ->
+      Printf.sprintf "%s on %d docs in %d shards" (Regex_formula.to_string f)
+        (List.length docs) n)
+    (fun (f, n, docs) ->
+      let docs = List.mapi (fun i d -> (Printf.sprintf "d%d" i, d)) docs in
+      (* round-robin, as Corpus.pack lays documents out *)
+      let c =
+        packed_corpus
+          (Array.init n (fun si -> List.filteri (fun i _ -> i mod n = si) docs))
+      in
+      let ct = Compiled.of_formula f in
+      let expected =
+        Array.map
+          (fun (name, _, _) -> (name, Compiled.eval ct (List.assoc name docs)))
+          (Corpus.docs c)
+      in
+      let agrees got =
+        Array.length got = Array.length expected
+        && Array.for_all2
+             (fun (name, r) (name', e) ->
+               name = name' && match r with Ok r -> Span_relation.equal r e | Error _ -> false)
+             got expected
+      in
+      List.for_all
+        (fun force ->
+          let p = Plan.make ~force ct (Plan.Packed c) in
+          agrees
+            (Array.map (fun (name, c) -> (name, Result.map Cursor.to_relation c)) (Plan.cursors p))
+          && agrees (Plan.relations ~jobs:1 p)
+          && agrees (Plan.relations ~jobs:2 p))
+        [ `Compressed; `Decompress ])
+
+let test_plan_packed_shard_failure () =
+  (* a fuel limit the small shard's sweep fits and the large shard's
+     does not: exactly the large shard's documents fail *)
+  let ct = Compiled.of_formula (Regex_formula.parse "[ab]*!x{ab}[ab]*") in
+  let rng = Random.State.make [| 7 |] in
+  let text n = String.init n (fun _ -> if Random.State.bool rng then 'a' else 'b') in
+  let c =
+    packed_corpus
+      [| [ ("s1", "abab"); ("s2", "ba") ]; [ ("b1", text 2000); ("b2", text 1500) ] |]
+  in
+  let cost si = Compiled.states ct * Arena.node_count (Corpus.shards c).(si) in
+  Alcotest.(check bool) "the large shard sweeps far more" true (cost 1 > 4 * cost 0);
+  let limits = Limits.make ~fuel:(2 * cost 0) () in
+  let p = Plan.make ~force:`Compressed ct (Plan.Packed c) in
+  let check_slots what slots =
+    Array.iter
+      (fun (name, r) ->
+        match (name.[0], r) with
+        | 's', Ok rel ->
+            Alcotest.(check bool) (what ^ " " ^ name ^ " exact") true
+              (Span_relation.equal rel
+                 (Compiled.eval ct (if name = "s1" then "abab" else "ba")))
+        | 'b', Error (Limits.Spanner_error (Limits.Limit_exceeded { which = Limits.Fuel; _ })) ->
+            ()
+        | _, Ok _ -> Alcotest.failf "%s: %s should have tripped" what name
+        | _, Error e -> Alcotest.failf "%s: %s failed: %s" what name (Printexc.to_string e))
+      slots
+  in
+  check_slots "cursors"
+    (Array.map (fun (name, c) -> (name, Result.map Cursor.to_relation c)) (Plan.cursors ~limits p));
+  check_slots "relations, 1 job" (Plan.relations ~jobs:1 ~limits p);
+  check_slots "relations, 2 jobs" (Plan.relations ~jobs:2 ~limits p)
+
 let () =
   let to_alcotest = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "cursor"
@@ -365,5 +453,8 @@ let () =
           Alcotest.test_case "choices per shape" `Quick test_plan_choices;
           Alcotest.test_case "relations = engines" `Quick test_plan_relations_match_engines;
           Alcotest.test_case "partial failure" `Quick test_plan_partial_failure;
+          QCheck_alcotest.to_alcotest prop_plan_packed;
+          Alcotest.test_case "packed sweep trips poison one shard" `Quick
+            test_plan_packed_shard_failure;
         ] );
     ]

@@ -1,11 +1,13 @@
-(* The native constant-delay enumeration machines (ROADMAP item 3)
-   against the oracles they replaced:
+(* The native constant-delay enumeration machines against independent
+   oracles:
 
-   - Order-exact differentials: Slp_spanner.cursor drains the exact
-     emission sequence of iter_prepared (same runs, same order) over
-     random formulas, documents and SLP builders, for deterministic
-     and nondeterministic automata alike; Incr.cursor likewise drains
-     Incr.iter_runs' sequence.
+   - The two SLP machines against two other algorithms and against
+     each other, over random formulas, documents and SLP builders, for
+     the compiled automaton determinized and not: Slp_spanner.cursor's
+     run count equals Slp_spanner.cardinal (a separate dynamic program
+     over run counts) and its set of tuples equals Compiled.eval on the
+     decompressed text; on the same store and automaton, Incr.cursor
+     emits exactly Slp_spanner.cursor's run sequence.
    - Set-level differentials: the streamed (deduplicated) relation
      equals Compiled.eval on the decompressed text, over stores grown
      by random builders, by CDE editing, and over packed (mmap-view)
@@ -119,39 +121,49 @@ let same_sequence xs ys =
   List.length xs = List.length ys && List.for_all2 Span_tuple.equal xs ys
 
 (* ------------------------------------------------------------------ *)
-(* Order-exact differentials *)
+(* The two machines against each other and two other algorithms *)
 
-let prop_slp_cursor_order =
+let drain_incr session id =
+  let cur = Incr.cursor session id in
+  let rec go acc =
+    match Incr.cursor_next cur with Some t -> go (t :: acc) | None -> List.rev acc
+  in
+  go []
+
+let det_and_nondet f =
+  let e = Evset.of_formula f in
+  [ Compiled.of_evset (Evset.determinize e); Compiled.of_evset e ]
+
+let prop_slp_cursor =
   QCheck2.Test.make
-    ~name:"Slp_spanner.cursor ≡ iter_prepared, order-exact (det and nondet)" ~count:300
-    gen_case ~print:print_case (fun (f, doc, b) ->
-      let e = Evset.of_formula f in
+    ~name:"Slp_spanner.cursor runs = cardinal, set = Compiled.eval (det and nondet)"
+    ~count:300 gen_case ~print:print_case (fun (f, doc, b) ->
       List.for_all
         (fun ct ->
           let store = Slp.create_store () in
           let id = (snd builders.(b)) store doc in
           let engine = Slp_spanner.of_compiled ct store in
           Slp_spanner.prepare engine id;
-          let expected = ref [] in
-          Slp_spanner.iter_prepared engine id (fun t -> expected := t :: !expected);
-          same_sequence (drain_native engine id) (List.rev !expected))
-        [ Compiled.of_evset (Evset.determinize e); Compiled.of_evset e ])
+          let runs = drain_native engine id in
+          List.length runs = Slp_spanner.cardinal engine id
+          && Span_relation.equal
+               (Span_relation.of_list (Compiled.vars ct) runs)
+               (Compiled.eval ct doc))
+        (det_and_nondet f))
 
 let prop_incr_cursor_order =
-  QCheck2.Test.make ~name:"Incr.cursor ≡ Incr.iter_runs, order-exact" ~count:300 gen_case
-    ~print:print_case (fun (f, doc, _) ->
-      let ct = Compiled.of_evset (Evset.of_formula f) in
-      let db = Doc_db.create () in
-      ignore (Doc_db.add_string db "d" doc);
-      let session = Incr.create ct db in
-      let id = Doc_db.find db "d" in
-      let expected = ref [] in
-      Incr.iter_runs session id (fun t -> expected := t :: !expected);
-      let cur = Incr.cursor session id in
-      let rec go acc =
-        match Incr.cursor_next cur with Some t -> go (t :: acc) | None -> List.rev acc
-      in
-      same_sequence (go []) (List.rev !expected))
+  QCheck2.Test.make
+    ~name:"Incr.cursor ≡ Slp_spanner.cursor order-exact (det and nondet)" ~count:300
+    gen_case ~print:print_case (fun (f, doc, b) ->
+      List.for_all
+        (fun ct ->
+          let db = Doc_db.create () in
+          let id = (snd builders.(b)) (Doc_db.store db) doc in
+          Doc_db.add db "d" id;
+          let engine = Slp_spanner.of_compiled ct (Doc_db.store db) in
+          Slp_spanner.prepare engine id;
+          same_sequence (drain_incr (Incr.create ct db) id) (drain_native engine id))
+        (det_and_nondet f))
 
 (* ------------------------------------------------------------------ *)
 (* Set-level differentials: streamed = Compiled on decompressed text *)
@@ -241,9 +253,7 @@ let prop_packed_stream =
         (fun (name, _) ->
           let root = Option.get (Arena.find a name) in
           Slp_spanner.prepare flat root;
-          let expected = ref [] in
-          Slp_spanner.iter_prepared flat root (fun t -> expected := t :: !expected);
-          same_sequence (drain_native flat root) (List.rev !expected)
+          List.length (drain_native flat root) = Slp_spanner.cardinal flat root
           && Span_relation.equal
                (Cursor.to_relation (Cursor.of_slp flat root))
                (Compiled.eval ct (Slp.frozen_to_string fz root)))
@@ -400,7 +410,7 @@ let () =
     [
       ( "order",
         [
-          QCheck_alcotest.to_alcotest prop_slp_cursor_order;
+          QCheck_alcotest.to_alcotest prop_slp_cursor;
           QCheck_alcotest.to_alcotest prop_incr_cursor_order;
         ] );
       ( "differential",

@@ -8,6 +8,7 @@ open Spanner_core
 open Spanner_refl
 open Spanner_slp
 module X = Spanner_util.Xoshiro
+module Cursor = Spanner_engine.Cursor
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -93,7 +94,8 @@ let core_spanner_over_slp () =
   let engine = Slp_spanner.create core.Core_spanner.automaton store in
   let hash = Spanner_util.Strhash.make doc in
   let filtered = ref [] in
-  Slp_spanner.iter engine id (fun tuple ->
+  Slp_spanner.prepare engine id;
+  Cursor.iter (Cursor.of_slp engine id) (fun tuple ->
       let ok =
         List.for_all
           (fun z ->

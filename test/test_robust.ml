@@ -19,6 +19,7 @@ module Pool = Spanner_util.Pool
 module Doc_db = Spanner_slp.Doc_db
 module Serialize = Spanner_slp.Serialize
 module Incr = Spanner_incr.Incr
+module Plan = Spanner_engine.Plan
 module X = Spanner_util.Xoshiro
 
 let check = Alcotest.check
@@ -187,9 +188,9 @@ let pool_mapi_result () =
 
 let batch_partial_failure () =
   let ct = Compiled.of_formula (Regex_formula.parse "[a]*!x{a*}[a]*") in
-  let docs = [| "aaaa"; String.make 80 'a'; "aa" |] in
+  let docs = [| ("d0", "aaaa"); ("d1", String.make 80 'a'); ("d2", "aa") |] in
   let limits = Limits.make ~max_tuples:50 () in
-  let r = Compiled.eval_all_result ~jobs:2 ~limits ct docs in
+  let r = Array.map snd (Plan.relations ~jobs:2 ~limits (Plan.make ct (Plan.Docs docs))) in
   (match r.(0) with Ok _ -> () | Error _ -> Alcotest.fail "doc 0 should succeed");
   (match r.(1) with
   | Error (Limits.Spanner_error (Limits.Limit_exceeded { which = Limits.Tuples; _ })) -> ()
@@ -197,7 +198,8 @@ let batch_partial_failure () =
   (match r.(2) with Ok _ -> () | Error _ -> Alcotest.fail "doc 2 should succeed");
   (* healthy slots agree with unlimited evaluation *)
   (match r.(0) with
-  | Ok rel -> check Alcotest.bool "doc 0 exact" true (Span_relation.equal rel (Compiled.eval ct docs.(0)))
+  | Ok rel ->
+      check Alcotest.bool "doc 0 exact" true (Span_relation.equal rel (Compiled.eval ct "aaaa"))
   | Error _ -> ())
 
 let doc_db_partial_failure () =
@@ -206,11 +208,14 @@ let doc_db_partial_failure () =
   ignore (Doc_db.add_string db "huge" (String.make 80 'a'));
   ignore (Doc_db.add_string db "tiny" "aa");
   let ct = Compiled.of_formula (Regex_formula.parse "[a]*!x{a*}[a]*") in
-  let results = Doc_db.eval_all ~jobs:2 ~limits:(Limits.make ~max_tuples:50 ()) db ct in
+  let results =
+    Plan.relations ~jobs:2 ~limits:(Limits.make ~max_tuples:50 ())
+      (Plan.make ~force:`Compressed ct (Plan.Db db))
+  in
   check
     Alcotest.(list string)
-    "order" [ "small"; "huge"; "tiny" ] (List.map fst results);
-  List.iter
+    "order" [ "small"; "huge"; "tiny" ] (Array.to_list (Array.map fst results));
+  Array.iter
     (fun (name, r) ->
       match (name, r) with
       | "huge", Error (Limits.Spanner_error (Limits.Limit_exceeded _)) -> ()
@@ -229,7 +234,14 @@ let incr_partial_failure () =
     Compiled.of_evset (Evset.determinize (Evset.of_formula (Regex_formula.parse "[a]*!x{a*}[a]*")))
   in
   let s = Incr.create ct db in
-  let results = Incr.eval_all ~limits:(Limits.make ~max_tuples:50 ()) s in
+  let results =
+    List.concat_map
+      (fun name ->
+        Array.to_list
+          (Plan.relations ~limits:(Limits.make ~max_tuples:50 ())
+             (Plan.make ct (Plan.Session (s, name)))))
+      (Doc_db.names db)
+  in
   List.iter
     (fun (name, r) ->
       match (name, r) with

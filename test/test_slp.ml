@@ -7,6 +7,7 @@ open Spanner_slp
 module X = Spanner_util.Xoshiro
 module Regex = Spanner_fa.Regex
 module Nfa = Spanner_fa.Nfa
+module Cursor = Spanner_engine.Cursor
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -402,7 +403,8 @@ let slp_spanner_duplicate_free () =
   let engine = Slp_spanner.create e store in
   let id = Builder.repeat store "ab" 4 in
   let seen = Hashtbl.create 64 in
-  Slp_spanner.iter engine id (fun tuple ->
+  Slp_spanner.prepare engine id;
+  Cursor.iter (Cursor.of_slp engine id) (fun tuple ->
       let key = Format.asprintf "%a" Span_tuple.pp tuple in
       if Hashtbl.mem seen key then Alcotest.failf "duplicate %s" key;
       Hashtbl.add seen key ());
@@ -418,11 +420,10 @@ let slp_spanner_exponential_doc () =
   check Alcotest.int "count without enumeration" ((1 lsl 16) - 1)
     (Slp_spanner.cardinal engine big);
   check Alcotest.bool "matrices stay compressed" true (Slp_spanner.matrices_computed engine < 150);
-  (* enumerate only a prefix: lazy via exception *)
-  let seen = ref 0 in
-  (try Slp_spanner.iter engine big (fun _ -> incr seen; if !seen >= 10 then raise Exit)
-   with Exit -> ());
-  check Alcotest.int "early exit" 10 !seen
+  (* enumerate only a prefix: the cursor pulls no further *)
+  let c = Cursor.of_slp engine big in
+  check Alcotest.int "early exit" 10 (Cursor.cardinal (Cursor.take c 10));
+  check Alcotest.int "ten pulls" 10 (Cursor.pulls c)
 
 let slp_spanner_shared_docs () =
   (* one engine over a document database: shared nodes shared in cache *)

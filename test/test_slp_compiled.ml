@@ -7,15 +7,17 @@
      grown by CDE editing;
    - the Figure 1 exact-sharing property: evaluating D3 after D1
      computes 0 new matrices;
-   - Doc_db.eval_all: `Compressed = `Decompress = per-file Compiled,
-     deterministic across domain counts, partial-failure semantics,
-     and metered decompression on the legacy path;
+   - Plan.relations over a Db: `Compressed = `Decompress = per-file
+     Compiled, deterministic across domain counts, partial-failure
+     semantics, and metered decompression on the `Decompress path;
    - the deep-SLP regression: preparation and decompression survive a
      10⁶-deep chain SLP (the recursive engine overflowed the stack). *)
 
 open Spanner_core
 open Spanner_slp
 module Limits = Spanner_util.Limits
+module Cursor = Spanner_engine.Cursor
+module Plan = Spanner_engine.Plan
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -111,13 +113,10 @@ let prop_slp_equals_compiled =
       let engine = Slp_spanner.create e store in
       let oracle = Compiled.eval (Compiled.of_formula f) doc in
       (* deterministic engine: runs are bijective with tuples *)
-      let enumerated = ref 0 in
-      let r = ref (Span_relation.empty (Slp_spanner.vars engine)) in
-      Slp_spanner.iter engine id (fun t ->
-          incr enumerated;
-          r := Span_relation.add !r t);
-      Span_relation.equal !r oracle
-      && !enumerated = Span_relation.cardinal oracle
+      Slp_spanner.prepare engine id;
+      let runs = Cursor.to_list (Cursor.of_slp engine id) in
+      Span_relation.equal (Span_relation.of_list (Slp_spanner.vars engine) runs) oracle
+      && List.length runs = Span_relation.cardinal oracle
       && Slp_spanner.cardinal engine id = Span_relation.cardinal oracle)
 
 let prop_of_compiled_nondeterministic =
@@ -213,11 +212,11 @@ let prop_cde_edited =
           Span_relation.equal (Slp_spanner.to_relation engine id) (Compiled.eval ct expected))
 
 (* ------------------------------------------------------------------ *)
-(* Doc_db.eval_all: engines agree, parallel determinism *)
+(* Plan.relations over a Db: engines agree, parallel determinism *)
 
 let prop_eval_all_engines_agree =
   QCheck2.Test.make
-    ~name:"Doc_db.eval_all: compressed = decompress = per-file compiled, any job count"
+    ~name:"Plan.relations over a Db: compressed = decompress = per-file compiled, any job count"
     ~count:60
     QCheck2.Gen.(
       gen_formula >>= fun f ->
@@ -228,17 +227,16 @@ let prop_eval_all_engines_agree =
       let db = Doc_db.create () in
       List.iteri (fun i d -> ignore (Doc_db.add_string db (Printf.sprintf "d%d" i) d)) docs;
       let ct = Compiled.of_formula f in
-      let ok results =
+      let ok jobs force =
         List.for_all2
           (fun doc (_, r) ->
             match r with
             | Ok rel -> Span_relation.equal rel (Compiled.eval ct doc)
             | Error _ -> false)
-          docs results
+          docs
+          (Array.to_list (Plan.relations ~jobs (Plan.make ~force ct (Plan.Db db))))
       in
-      ok (Doc_db.eval_all ~jobs:1 db ct)
-      && ok (Doc_db.eval_all ~jobs:4 db ct)
-      && ok (Doc_db.eval_all ~jobs:2 ~engine:`Decompress db ct))
+      ok 1 `Compressed && ok 4 `Compressed && ok 2 `Decompress)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: exact node-matrix sharing *)
@@ -278,15 +276,13 @@ let eval_all_shares_sweep () =
   in
   let engine = Slp_spanner.of_compiled ct (Doc_db.store db) in
   let roots = Array.of_list (List.map (Doc_db.find db) (Doc_db.names db)) in
-  let results = Slp_spanner.eval_all ~jobs:2 engine roots in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok rel ->
-          let doc = Slp.to_string (Doc_db.store db) roots.(i) in
-          check Alcotest.bool "slot exact" true (Span_relation.equal rel (Compiled.eval ct doc))
-      | Error e -> Alcotest.failf "slot %d failed: %s" i (Printexc.to_string e))
-    results;
+  Array.iter (Slp_spanner.prepare engine) roots;
+  Array.iter
+    (fun id ->
+      let doc = Slp.to_string (Doc_db.store db) id in
+      check Alcotest.bool "slot exact" true
+        (Span_relation.equal (Cursor.to_relation (Cursor.of_slp engine id)) (Compiled.eval ct doc)))
+    roots;
   let distinct = Doc_db.compressed_size db in
   let sum_per_doc =
     List.fold_left
@@ -308,8 +304,11 @@ let eval_all_partial_failure () =
   let ct = Compiled.of_formula (Regex_formula.parse "[a]*!x{a*}[a]*") in
   List.iter
     (fun engine ->
-      let results = Doc_db.eval_all ~jobs:2 ~limits:(Limits.make ~max_tuples:50 ()) ~engine db ct in
-      List.iter
+      let results =
+        Plan.relations ~jobs:2 ~limits:(Limits.make ~max_tuples:50 ())
+          (Plan.make ~force:engine ct (Plan.Db db))
+      in
+      Array.iter
         (fun (name, r) ->
           match (name, r) with
           | "huge", Error (Limits.Spanner_error (Limits.Limit_exceeded _)) -> ()
@@ -323,14 +322,17 @@ let eval_all_partial_failure () =
     [ `Compressed; `Decompress ]
 
 let decompression_is_metered () =
-  (* satellite: the legacy path used to decompress *before* the gauge
-     existed; now an over-budget document trips during decompression
-     and degrades to its own slot *)
+  (* an over-budget document trips during decompression and degrades
+     to its own slot *)
   let db = Doc_db.create () in
   ignore (Doc_db.add_string db "big" (String.concat "" (List.init 500 (fun _ -> "abcab"))));
   ignore (Doc_db.add_string db "ok" "abc");
   let ct = Compiled.of_formula (Regex_formula.parse "!x{abc}[abc]*") in
-  let results = Doc_db.eval_all ~limits:(Limits.make ~fuel:100 ()) ~engine:`Decompress db ct in
+  let results =
+    Array.to_list
+      (Plan.relations ~limits:(Limits.make ~fuel:100 ())
+         (Plan.make ~force:`Decompress ct (Plan.Db db)))
+  in
   (match List.assoc "big" results with
   | Error (Limits.Spanner_error (Limits.Limit_exceeded { which = Limits.Fuel; _ })) -> ()
   | Ok _ -> Alcotest.fail "2500-byte decompression must exceed 100 fuel"

@@ -4,7 +4,7 @@
      databases, pack → open gives a frozen view equivalent to
      Slp.freeze on every accessor (structure walk, lengths,
      decompression) and on full Slp_spanner evaluation — including
-     eval_all over the flat view;
+     Plan.relations over the arena as a one-shard corpus;
    - sharded corpora: pack --shards N round-trips through the
      manifest, routes documents to their owning shard, and rejects
      overlapping shards;
@@ -27,6 +27,7 @@ module Slp_spanner = Spanner_slp.Slp_spanner
 module Arena = Spanner_store.Arena
 module Manifest = Spanner_store.Manifest
 module Corpus = Spanner_store.Corpus
+module Plan = Spanner_engine.Plan
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -168,16 +169,19 @@ let prop_arena_eval_equals_heap =
           let arena_roots =
             Array.of_list (List.map (fun (n, _) -> Option.get (Arena.find a n)) docs)
           in
-          let flat_all = Slp_spanner.eval_all flat arena_roots in
+          let planned =
+            Plan.relations
+              (Plan.make ~force:`Compressed ct (Plan.Packed (Corpus.of_arenas [| a |])))
+          in
           List.for_all
-            (fun (i, (_, id)) ->
+            (fun (i, (name, id)) ->
               let expected = Slp_spanner.to_relation heap id in
               Span_relation.equal expected
                 (Slp_spanner.to_relation flat arena_roots.(i))
               &&
-              match flat_all.(i) with
-              | Ok r -> Span_relation.equal expected r
-              | Error _ -> false)
+              match List.assoc_opt name (Array.to_list planned) with
+              | Some (Ok r) -> Span_relation.equal expected r
+              | _ -> false)
             (List.mapi (fun i d -> (i, d)) docs))
         formulas)
 
