@@ -94,19 +94,23 @@ let e1_enumeration () =
       (fun k ->
         let n = 1 lsl k in
         let doc = X.string rng "ab" n in
-        let prep = best_of 3 (fun () -> ignore (Enumerate.prepare e doc)) in
-        let p = Enumerate.prepare e doc in
-        let count = Enumerate.cardinal p in
+        (* compile + prepare, as one call per document would pay *)
+        let prepare () = Compiled.prepare (Compiled.of_evset e) doc in
+        let prep = best_of 3 (fun () -> ignore (prepare ())) in
+        let p = prepare () in
+        let count = Compiled.cardinal p in
         Gc.full_major ();
         let max_delay = ref 0.0 and total = ref 0.0 and produced = ref 0 in
+        let cur = Compiled.cursor p in
         let last = ref (now ()) in
-        Enumerate.iter p (fun _ ->
-            let t = now () in
-            let gap = t -. !last in
-            last := t;
-            incr produced;
-            total := !total +. gap;
-            if gap > !max_delay then max_delay := gap);
+        while Compiled.cursor_next cur <> None do
+          let t = now () in
+          let gap = t -. !last in
+          last := t;
+          incr produced;
+          total := !total +. gap;
+          if gap > !max_delay then max_delay := gap
+        done;
         [
           pretty_int n;
           pretty_time prep;
@@ -149,7 +153,7 @@ let e2_regular_vs_core () =
         let s = Core_spanner.simplify expr in
         let auto = s.Core_spanner.automaton in
         let regular_time = best_of 3 (fun () -> ignore (Evset.nonempty_on auto doc)) in
-        let splits = Enumerate.cardinal (Enumerate.prepare auto doc) in
+        let splits = Compiled.cardinal (Compiled.prepare (Compiled.of_evset auto) doc) in
         let results, core_time = time (fun () -> Span_relation.cardinal (Core_spanner.eval s doc)) in
         [
           string_of_int n;
@@ -381,7 +385,7 @@ let e6_slp_enumeration () =
         let uncompressed_prep =
           if k <= 16 then begin
             let doc = Slp.to_string store id in
-            Some (time_unit (fun () -> ignore (Enumerate.prepare e doc)))
+            Some (time_unit (fun () -> ignore (Compiled.prepare (Compiled.of_evset e) doc)))
           end
           else None
         in
@@ -1194,12 +1198,11 @@ let e18_serve () =
   ignore (Serve_client.request seed "DEFINE big\n[ab]*!x{a[ab]*b}[ab]*");
   let slow_fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
   Unix.connect slow_fd (ADDR_UNIX sock);
-  let slow_ic = Unix.in_channel_of_descr slow_fd
-  and slow_oc = Unix.out_channel_of_descr slow_fd in
-  Spanner_serve.Protocol.write_frame slow_oc "QUERY big s d2";
+  let slow = Spanner_serve.Protocol.conn_of_fd slow_fd in
+  Spanner_serve.Protocol.write_frame_conn slow "QUERY big s d2";
   (* read only the stream header, then stall: the session thread
      serving this stream blocks once the socket buffer fills *)
-  ignore (Spanner_serve.Protocol.read_frame slow_ic);
+  ignore (Spanner_serve.Protocol.read_frame_conn slow);
   let stalled = latencies (sc 200 30) "QUERY q s d format=first" in
   Array.sort compare stalled;
   let stalled_p50 = percentile stalled 0.50 in
@@ -1849,7 +1852,8 @@ let bechamel_suite () =
   in
   let tests =
     [
-      Test.make ~name:"e1/prepare-4k" (Staged.stage (fun () -> Enumerate.prepare e1_auto doc4k));
+      Test.make ~name:"e1/prepare-4k"
+        (Staged.stage (fun () -> Compiled.prepare (Compiled.of_evset e1_auto) doc4k));
       Test.make ~name:"e1/compiled-prepare-4k"
         (Staged.stage (fun () -> Compiled.prepare e1_ct doc4k));
       Test.make ~name:"e12/batch-16x4k-seq"

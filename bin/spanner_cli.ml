@@ -253,19 +253,19 @@ let pack_cmd files dbfile shards out =
 
 let enum_cmd formula doc file limit =
   let document = read_document doc file in
-  let spanner = Evset.of_formula (parse_formula formula) in
-  let prepared = Enumerate.prepare spanner document in
+  let prepared = Compiled.prepare (Compiled.of_formula (parse_formula formula)) document in
+  let stats = Compiled.stats prepared in
   Format.printf "%d result(s); preprocessing: %d nodes, %d edges@."
-    (Enumerate.cardinal prepared)
-    (Enumerate.stats prepared).Enumerate.nodes
-    (Enumerate.stats prepared).Enumerate.edges;
-  let shown = ref 0 in
-  (try
-     Enumerate.iter prepared (fun tuple ->
-         Format.printf "%a@." Span_tuple.pp tuple;
-         incr shown;
-         match limit with Some k when !shown >= k -> raise Exit | _ -> ())
-   with Exit -> ())
+    (Compiled.cardinal prepared) stats.Compiled.nodes stats.Compiled.edges;
+  let cur = Compiled.cursor prepared in
+  let rec show shown =
+    match Compiled.cursor_next cur with
+    | None -> ()
+    | Some tuple -> (
+        Format.printf "%a@." Span_tuple.pp tuple;
+        match limit with Some k when shown + 1 >= k -> () | _ -> show (shown + 1))
+  in
+  show 0
 
 (* ------------------------------------------------------------------ *)
 (* refl *)

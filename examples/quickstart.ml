@@ -24,11 +24,14 @@ let () =
 
   (* 4. The same result, tuple by tuple, through the constant-delay
         enumeration pipeline (linear preprocessing, §2.5). *)
-  let prepared = Enumerate.prepare spanner doc in
+  let prepared = Compiled.prepare (Compiled.of_evset spanner) doc in
   Format.printf "enumerated %d tuples (preprocessing: %d product nodes)@."
-    (Enumerate.cardinal prepared)
-    (Enumerate.stats prepared).Enumerate.nodes;
-  Enumerate.iter prepared (fun tuple -> Format.printf "  %a@." Span_tuple.pp tuple);
+    (Compiled.cardinal prepared)
+    (Compiled.stats prepared).Compiled.nodes;
+  let cursor = Compiled.cursor prepared in
+  Seq.iter
+    (fun tuple -> Format.printf "  %a@." Span_tuple.pp tuple)
+    (Seq.of_dispenser (fun () -> Compiled.cursor_next cursor));
 
   (* 5. Decision problems (§2.4) are one call each. *)
   Format.printf "satisfiable: %b, hierarchical: %b@." (Evset.satisfiable spanner)

@@ -23,9 +23,9 @@ let () =
   Format.printf "%a" (Span_relation.pp ~doc:"ababbab") (Evset.eval s "ababbab");
 
   heading "2. Enumeration: linear preprocessing, constant delay (§2.5)";
-  let p = Enumerate.prepare s "ababbab" in
-  Format.printf "%d tuples from %d product nodes@." (Enumerate.cardinal p)
-    (Enumerate.stats p).Enumerate.nodes;
+  let p = Compiled.prepare (Compiled.of_evset s) "ababbab" in
+  Format.printf "%d tuples from %d product nodes@." (Compiled.cardinal p)
+    (Compiled.stats p).Compiled.nodes;
 
   heading "3. The algebra and core simplification (§2.3)";
   let q =

@@ -37,6 +37,20 @@ let allowed = function
   | Invalid_argument _ -> true
   | _ -> false
 
+(* [reparsed ~parse ~print s] parses [s] and checks the printing
+   fixpoint print (parse (print x)) = print x: a printed form must
+   re-parse, and to a term that prints the same.  A break is a crash,
+   whatever the re-parse raised. *)
+let reparsed ~parse ~print s =
+  let x = parse s in
+  let printed = print x in
+  (match print (parse printed) with
+  | again when again = printed -> ()
+  | again -> failwith (Printf.sprintf "printing is not a fixpoint: %S re-prints as %S" printed again)
+  | exception e ->
+      failwith (Printf.sprintf "printed form %S does not re-parse: %s" printed (Printexc.to_string e)));
+  x
+
 (* ------------------------------------------------------------------ *)
 (* Targets *)
 
@@ -47,12 +61,23 @@ let targets =
     {
       name = "formula";
       alphabet = "ab01!x{}[]()*+?|;,.-^\\&9 ";
-      run = (fun s -> ignore (Spanner_core.Evset.of_formula ~limits:budget (Spanner_core.Regex_formula.parse s)));
+      run =
+        (fun s ->
+          let f =
+            reparsed ~parse:Spanner_core.Regex_formula.parse
+              ~print:Spanner_core.Regex_formula.to_string s
+          in
+          ignore (Spanner_core.Evset.of_formula ~limits:budget f));
     };
     {
       name = "refl";
       alphabet = "ab01!x&{}[]()*+?|;,.-^\\9 ";
-      run = (fun s -> ignore (Spanner_refl.Refl_spanner.parse s));
+      run =
+        (fun s ->
+          let r =
+            reparsed ~parse:Spanner_refl.Refl_regex.parse ~print:Spanner_refl.Refl_regex.to_string s
+          in
+          ignore (Spanner_refl.Refl_spanner.of_regex r));
     };
     {
       name = "datalog";
@@ -69,12 +94,14 @@ let targets =
       alphabet = "rgxfileps&|()[],\":\\!xy{}ab*+? ";
       run =
         (fun s ->
-          let e = Spanner_core.Algebra.parse s in
-          (* a parse that succeeds must also plan, evaluate under the
-             budget, and print back re-parseably *)
+          (* a parse that succeeds must also print back re-parseably,
+             plan, and evaluate under the budget *)
+          let e =
+            reparsed ~parse:(fun s -> Spanner_core.Algebra.parse s)
+              ~print:Spanner_core.Algebra.to_string s
+          in
           let plan = Spanner_engine.Optimizer.optimize ~limits:budget e in
-          ignore (Spanner_engine.Optimizer.eval ~limits:budget plan "abab");
-          ignore (Spanner_core.Algebra.parse (Spanner_core.Algebra.to_string e)));
+          ignore (Spanner_engine.Optimizer.eval ~limits:budget plan "abab"));
     };
     {
       name = "slpdb";

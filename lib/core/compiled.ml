@@ -243,8 +243,8 @@ let summary_compose l r =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-document preprocessing: the product DAG of Enumerate, built
-   from the compiled tables — array indexing only on the hot path.    *)
+(* Per-document preprocessing: the trimmed product DAG, built from the
+   compiled tables — array indexing only on the hot path.             *)
 
 type node = {
   id : int;
@@ -459,9 +459,8 @@ let prepare_big g ct doc =
   (* Distinct set-arc labels of a subset with their determinised
      targets, grouped through generation-stamped per-label scratch
      slots (no Marker.Set comparisons, no list search).  The returned
-     order — reverse first-discovery — matches what the label-list
-     accumulation of the original Enumerate produced, keeping the
-     enumeration order of tuples identical. *)
+     order — reverse first-discovery — fixes the order in which tuples
+     are enumerated. *)
   let nlabels = Array.length ct.labels in
   let label_stamp = Array.make (max 1 nlabels) (-1) in
   let label_tgt = Array.make (max 1 nlabels) (Bitset.create 0) in
@@ -574,29 +573,6 @@ let rec next cur =
           cur.current <- t.jump.actions;
           next cur)
 
-let iter p f =
-  let cur = cursor p in
-  let rec loop () =
-    match next cur with
-    | None -> ()
-    | Some tuple ->
-        f tuple;
-        loop ()
-  in
-  loop ()
-
-let to_seq p =
-  (* The cursor is mutable, so the raw unfold is ephemeral; memoising
-     makes the sequence persistent (safe to re-traverse). *)
-  Seq.memoize (Seq.unfold (fun cur -> Option.map (fun t -> (t, cur)) (next cur)) (cursor p))
-
-let first p = next (cursor p)
-
-let to_relation p =
-  let r = ref (Span_relation.empty p.tables.vars) in
-  iter p (fun t -> r := Span_relation.add !r t);
-  !r
-
 (* ------------------------------------------------------------------ *)
 (* Whole-document evaluation                                           *)
 
@@ -610,11 +586,13 @@ let prepared_vars p = p.tables.vars
 let eval ?(limits = Limits.none) ct doc =
   let g = Limits.start limits in
   let p = prepare_gauge g ct doc in
-  let r = ref (Span_relation.empty p.tables.vars) in
-  let count = ref 0 in
-  iter p (fun t ->
-      Limits.check g;
-      incr count;
-      Limits.check_tuples g !count;
-      r := Span_relation.add !r t);
-  !r
+  let cur = cursor p in
+  let rec drain r count =
+    match next cur with
+    | None -> r
+    | Some t ->
+        Limits.check g;
+        Limits.check_tuples g (count + 1);
+        drain (Span_relation.add r t) (count + 1)
+  in
+  drain (Span_relation.empty p.tables.vars) 0

@@ -1,14 +1,11 @@
-(** Compiled evaluation engine: spanner-only preprocessing (§2.5).
+(** Compiled evaluation engine: two-phase enumeration of regular
+    spanners (§2.5), with all spanner-only work done once.
 
-    The two-phase enumeration of {!Enumerate} splits evaluation into a
-    preprocessing pass over the document and constant-delay output of
-    tuples, but its preprocessing re-derives spanner-level facts on
-    every document: marker-set labels are recollected by scanning
-    association lists, every character probes {!Spanner_fa.Charset}
-    membership per letter arc, and state subsets are interned through
-    hash-bucket list scans.  All of that depends only on the spanner —
-    it is {e combined} complexity in the sense of §2.5 ([10], [39]) —
-    so this module hoists it into a one-time compilation:
+    Evaluation splits into a preprocessing pass over the document and
+    output of the tuples with delay independent of the document
+    length.  Every fact that depends only on the spanner — {e combined}
+    complexity in the sense of §2.5 ([10], [39]) — is hoisted into a
+    one-time compilation ({!of_evset}):
 
     - the marker-set alphabet is interned into dense label ids;
     - letter arcs become flat transition tables indexed by
@@ -19,16 +16,22 @@
       otherwise;
     - set arcs become a CSR adjacency ([state → (label id, target)]).
 
-    The per-document pass ({!prepare}) is then array indexing only:
-    when every state fits in one machine word (any automaton with at
+    The per-document pass ({!prepare}) is then array indexing only: it
+    determinises the automaton's extended form {e on the document} —
+    the product of document positions and state subsets — trims it to
+    useful nodes, and compresses markerless chains with jump pointers.
+    When every state fits in one machine word (any automaton with at
     most [Sys.int_size] states), subsets are plain int bitmasks with
     precompiled per-(state, class) successor masks — the hot path is
     integer arithmetic and allocates nothing; larger automata fall
     back to {!Spanner_util.Bitset} subsets interned by canonical
-    content key ({!Spanner_util.Bitset.key}).  The
-    enumeration machinery (trimmed product DAG, jump pointers,
-    duplicate-free cursor walk) is unchanged from {!Enumerate}, whose
-    public API is now a thin wrapper over this module.
+    content key ({!Spanner_util.Bitset.key}).  Every maximal path of
+    the trimmed DAG is one result tuple, so the {!cursor} walk needs no
+    duplicate elimination.
+
+    This module is the one way into that engine: compile with
+    {!of_evset}, preprocess with {!prepare}, then pull tuples with
+    {!cursor}/{!cursor_next} or collect them with {!eval}.
 
     Compiled tables are immutable after {!of_evset}, so one compiled
     spanner may be shared by concurrent domains: batches of documents
@@ -156,21 +159,9 @@ val prepare_with_gauge : Spanner_util.Limits.gauge -> t -> string -> prepared
     prepared from (the schema of the enumerated tuples). *)
 val prepared_vars : prepared -> Variable.Set.t
 
-(** [iter p f] calls [f] exactly once per result tuple. *)
-val iter : prepared -> (Span_tuple.t -> unit) -> unit
-
-(** [to_seq p] enumerates the tuples on demand (persistent). *)
-val to_seq : prepared -> Span_tuple.t Seq.t
-
-(** [first p] is the first tuple, if any, without full enumeration. *)
-val first : prepared -> Span_tuple.t option
-
 (** [cardinal p] is the number of result tuples, O(1) after
     preparation (path counts are accumulated during the trim pass). *)
 val cardinal : prepared -> int
-
-(** [to_relation p] materialises the result relation. *)
-val to_relation : prepared -> Span_relation.t
 
 (** Preprocessing statistics; O(1) — counts are recorded at
     {!prepare} time. *)
@@ -188,8 +179,8 @@ val stats : prepared -> stats
     resumes the duplicate-free depth-first walk exactly where the last
     tuple left it, so the first [k] tuples cost O(k) pulls after
     preprocessing — the paper's constant-delay claim (§2.5) as an
-    incremental API.  {!iter}/{!to_seq} are built on the same walk;
-    this exposes it to the streaming layer ({!Spanner_engine.Cursor}). *)
+    incremental API.  {!eval} drains the same walk, and the streaming
+    layer ({!Spanner_engine.Cursor}) wraps it. *)
 
 type cursor
 

@@ -93,7 +93,7 @@ let rec simplify (e : Algebra.t) =
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 
-let selections_hold hash selections tuple =
+let selections_hold ~equal selections tuple =
   List.for_all
     (fun z ->
       let spans =
@@ -103,15 +103,19 @@ let selections_hold hash selections tuple =
       in
       match spans with
       | [] | [ _ ] -> true
-      | first :: rest ->
-          let range s = (Span.left s - 1, Span.right s - 1) in
-          List.for_all (fun s -> Strhash.equal_span hash ~a:(range first) ~b:(range s)) rest)
+      | first :: rest -> List.for_all (equal first) rest)
     selections
 
+let content_equal hash a b =
+  Strhash.equal_span hash
+    ~a:(Span.left a - 1, Span.right a - 1)
+    ~b:(Span.left b - 1, Span.right b - 1)
+
 let satisfying_tuples s doc =
-  let hash = Strhash.make doc in
-  let p = Enumerate.prepare s.automaton doc in
-  Seq.filter (selections_hold hash s.selections) (Enumerate.to_seq p)
+  let equal = content_equal (Strhash.make doc) in
+  let cur = Compiled.cursor (Compiled.prepare (Compiled.of_evset s.automaton) doc) in
+  Seq.filter (selections_hold ~equal s.selections)
+    (Seq.of_dispenser (fun () -> Compiled.cursor_next cur))
 
 let eval s doc =
   Seq.fold_left

@@ -15,7 +15,7 @@
 
     Evaluation of the simplified form makes the complexity difference
     of §2.4 concrete: the automaton part is evaluated by the efficient
-    machinery of {!Enumerate}, and the selections are then a filter —
+    machinery of {!Compiled}, and the selections are then a filter —
     whose satisfying assignment may require exploring exponentially
     many automaton tuples, exactly the NP-hardness mechanism of the
     pattern-matching-with-variables encoding shown in §2.4. *)
@@ -52,6 +52,20 @@ val project : Variable.Set.t -> t -> t
     automaton's tuples, filter by the selections (O(1) factor
     comparisons via rolling hashes), project, deduplicate. *)
 val eval : t -> string -> Span_relation.t
+
+(** [selections_hold ~equal zs tuple] is the string-equality filter
+    ς=_{Z₁} … ς=_{Z_k}: for each [z] in [zs], the spans that [tuple]
+    binds to variables of [z] all have [equal] contents (unbound
+    variables are ignored).  [equal] compares the factors under two
+    spans of one document; each engine passes its own factor
+    comparison (rolling hashes over the text, or SLP factor hashes). *)
+val selections_hold :
+  equal:(Span.t -> Span.t -> bool) -> Variable.Set.t list -> Span_tuple.t -> bool
+
+(** [content_equal h a b] compares the factors under spans [a] and [b]
+    of the document [h] was made from, in O(1)
+    ({!Spanner_util.Strhash.equal_span}). *)
+val content_equal : Spanner_util.Strhash.t -> Span.t -> Span.t -> bool
 
 (** [eval_algebra e doc] is [eval (simplify e) doc]. *)
 val eval_algebra : Algebra.t -> string -> Span_relation.t

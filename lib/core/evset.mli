@@ -41,7 +41,7 @@ val of_formula : ?limits:Spanner_util.Limits.t -> Regex_formula.t -> t
     vset-automaton of [10]: for every state, at most one successor per
     marker-set label and per character.  Accepted extended words are
     unchanged, but runs become unique per word — the property both
-    {!Enumerate} and the SLP-compressed enumeration rely on for
+    {!Compiled} and the SLP-compressed enumeration rely on for
     duplicate-freedom.  Subset construction: worst-case exponential in
     |e| (irrelevant in data complexity, §2.5); under [limits] each
     interned subset counts against the state cap and transition work
@@ -161,7 +161,7 @@ val overlap_possible : t -> Variable.t -> Variable.t -> bool
 (** [eval e doc] is the full span relation ⟦e⟧(doc), computed by a
     pruned depth-first search over the product of [e] and [doc] with
     duplicate elimination — the reference evaluator ("oracle") against
-    which {!Enumerate} is tested.  Worst-case exponential time in
+    which {!Compiled} is tested.  Worst-case exponential time in
     |doc| only through the output size; the search itself is pruned to
     useful product nodes. *)
 val eval : t -> string -> Span_relation.t

@@ -89,7 +89,6 @@ let extend env v span =
 
 let run ?limits p doc =
   let g = Limits.start (Option.value ~default:Limits.none limits) in
-  let hash = Strhash.make doc in
   (* Materialise each distinct spanner atom once (physical identity:
      the same automaton value shared between rules is shared here). *)
   let spanner_cache : (Evset.t * Span_relation.t) list ref = ref [] in
@@ -97,7 +96,7 @@ let run ?limits p doc =
     match List.find_opt (fun (e', _) -> e' == e) !spanner_cache with
     | Some (_, r) -> r
     | None ->
-        let r = Enumerate.to_relation ?limits e doc in
+        let r = Compiled.eval ?limits (Compiled.of_evset ?limits e) doc in
         spanner_cache := (e, r) :: !spanner_cache;
         r
   in
@@ -106,11 +105,7 @@ let run ?limits p doc =
   let deltas : (string, Row_set.t) Hashtbl.t = Hashtbl.create 8 in
   let table name = Option.value ~default:Row_set.empty (Hashtbl.find_opt tables name) in
   let delta name = Option.value ~default:Row_set.empty (Hashtbl.find_opt deltas name) in
-  let content_eq a b =
-    Strhash.equal_span hash
-      ~a:(Span.left a - 1, Span.right a - 1)
-      ~b:(Span.left b - 1, Span.right b - 1)
-  in
+  let content_eq = Core_spanner.content_equal (Strhash.make doc) in
   (* Evaluate a rule body left to right.  [use_delta_at] forces the
      [k]-th IDB literal to range over the last round's delta (semi-naïve
      evaluation); [-1] means all IDB literals use the full tables. *)

@@ -44,10 +44,12 @@ type program
 val make : rule list -> program
 
 (** [run ?limits p doc] computes the least fixpoint of [p] over [doc].
-    Under [limits], spanner-atom materialisation is metered as in
-    {!Enumerate.to_relation}, every binding step of the semi-naïve
-    fixpoint consumes fuel, the deadline is probed periodically, and
-    genuinely new derived facts count against the tuple cap
+    Each distinct spanner atom is materialised once on the plain text,
+    through {!Compiled.of_evset} and {!Compiled.eval}.  Under [limits],
+    that materialisation is metered as those calls meter it, every
+    binding step of the semi-naïve fixpoint consumes fuel, the
+    deadline is probed periodically, and genuinely new derived facts
+    count against the tuple cap
     ({!Spanner_util.Limits.Spanner_error} on violation). *)
 type result
 

@@ -311,25 +311,11 @@ let optimize ?(limits = Limits.none) ?(fuse_states = default_fuse_states) ?sampl
 (* Execution: results stream out of the fused automata; the remaining
    operators run as stream combinators on top. *)
 
-(* Strhash-backed string-equality filter: same semantics as
-   Span_tuple.satisfies_equality (unbound variables of [z] are
-   ignored), but each comparison is O(1) against the document's rolling
-   hashes instead of O(span length). *)
-let selection_holds hash z tuple =
-  let spans =
-    Variable.Set.fold
-      (fun x acc -> match Span_tuple.find tuple x with Some s -> s :: acc | None -> acc)
-      z []
-  in
-  match spans with
-  | [] | [ _ ] -> true
-  | s0 :: rest ->
-      let range s = (Span.left s - 1, Span.right s - 1) in
-      List.for_all (fun s -> Strhash.equal_span hash ~a:(range s0) ~b:(range s)) rest
-
 let cursor ?(limits = Limits.none) t doc =
   let g = Limits.start limits in
-  let hash = lazy (Strhash.make doc) in
+  (* ς filters compare factors in O(1) against rolling hashes of the
+     document, built on the first filtered tuple *)
+  let equal = lazy (Core_spanner.content_equal (Strhash.make doc)) in
   let rec go node =
     match node.shape with
     | Fused { ct; _ } -> Cursor.of_compiled ~gauge:g (Compiled.prepare_with_gauge g ct doc)
@@ -338,7 +324,8 @@ let cursor ?(limits = Limits.none) t doc =
         let rec pull () =
           match Cursor.next c with
           | None -> None
-          | Some tu when selection_holds (Lazy.force hash) z tu -> Some tu
+          | Some tu when Core_spanner.selections_hold ~equal:(Lazy.force equal) [ z ] tu ->
+              Some tu
           | Some _ -> pull ()
         in
         Cursor.of_fun ~vars:node.schema pull

@@ -14,22 +14,15 @@ let prefix ?(bytes = default_bytes) doc =
   let bytes = max 0 bytes in
   if String.length doc <= bytes then doc else String.sub doc 0 bytes
 
-let of_prepared ~doc_bytes ~sample_bytes ~tuples ~nodes =
-  { sample_bytes; doc_bytes; tuples; nodes }
-
 let estimate ?limits ?bytes ct doc =
   let sample = prefix ?bytes doc in
   let p = Compiled.prepare ?limits ct sample in
-  let st = Compiled.stats p in
-  of_prepared ~doc_bytes:(String.length doc) ~sample_bytes:(String.length sample)
-    ~tuples:(Compiled.cardinal p) ~nodes:st.Compiled.nodes
-
-let estimate_evset ?limits ?bytes ev doc =
-  let sample = prefix ?bytes doc in
-  let p = Enumerate.prepare ?limits ev sample in
-  let st = Enumerate.stats p in
-  of_prepared ~doc_bytes:(String.length doc) ~sample_bytes:(String.length sample)
-    ~tuples:(Enumerate.cardinal p) ~nodes:st.Enumerate.nodes
+  {
+    sample_bytes = String.length sample;
+    doc_bytes = String.length doc;
+    tuples = Compiled.cardinal p;
+    nodes = (Compiled.stats p).Compiled.nodes;
+  }
 
 let projected e =
   if e.sample_bytes <= 0 then float_of_int e.tuples

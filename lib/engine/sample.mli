@@ -11,8 +11,7 @@
     well in practice (matches on a prefix are representative for the
     homogeneous documents the benchmarks use; a skewed tail can fool
     the estimate, which only ever costs plan quality, never
-    correctness).  {!estimate_evset} is the same probe through
-    {!Spanner_core.Enumerate} for spanners that were never compiled. *)
+    correctness). *)
 
 open Spanner_core
 
@@ -33,10 +32,6 @@ val prefix : ?bytes:int -> string -> string
 (** [estimate ?limits ?bytes ct doc] prepares [ct] on
     [prefix ?bytes doc] and reads the counters. *)
 val estimate : ?limits:Spanner_util.Limits.t -> ?bytes:int -> Compiled.t -> string -> estimate
-
-(** [estimate_evset ?limits ?bytes ev doc] is {!estimate} through the
-    uncompiled {!Spanner_core.Enumerate} engine. *)
-val estimate_evset : ?limits:Spanner_util.Limits.t -> ?bytes:int -> Evset.t -> string -> estimate
 
 (** [projected e] linearly extrapolates the sampled tuple count to the
     full document length — a coarse total-cardinality guess for

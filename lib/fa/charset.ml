@@ -116,6 +116,12 @@ let pp ppf cs =
     | chars ->
         (* Render maximal runs as ranges. *)
         let buf = Buffer.create 16 in
+        (* the bytes the class grammar gives a meaning: a bare one would
+           close the class, escape, negate or form a range on re-parse *)
+        let add c =
+          if String.contains "\\]^-" c then Buffer.add_char buf '\\';
+          Buffer.add_char buf c
+        in
         let rec runs = function
           | [] -> ()
           | c :: rest ->
@@ -124,14 +130,14 @@ let pp ppf cs =
                 | rest' -> (last, rest')
               in
               let last, rest' = extend c rest in
-              if c = last then Buffer.add_char buf c
+              if c = last then add c
               else if Char.code last = Char.code c + 1 then (
-                Buffer.add_char buf c;
-                Buffer.add_char buf last)
+                add c;
+                add last)
               else (
-                Buffer.add_char buf c;
+                add c;
                 Buffer.add_char buf '-';
-                Buffer.add_char buf last);
+                add last);
               runs rest'
         in
         runs chars;

@@ -66,5 +66,6 @@ val to_table : t -> bool array
 val byte_classes : t list -> int array * int
 
 (** [pp ppf cs] prints a compact, regex-like rendering such as
-    [[a-cx]]. *)
+    [[a-cx]].  Inside the brackets, ['\\'], [']'], ['^'] and ['-'] are
+    escaped, so {!Regex.parse} reads a class back as [cs]. *)
 val pp : Format.formatter -> t -> unit

@@ -76,20 +76,13 @@ exception Parse_error of string * int
    nested counted repetitions multiply: "a{99}{99}{99}" would build
    ~10^6 nodes and deeper nestings OOM the parser itself on
    adversarial input.  Every repetition application is therefore
-   capped, per count and per expanded subterm size; all three
-   spanner-level parsers share these bounds. *)
+   capped, per count and per expanded subterm size. *)
 let max_repeat = 4096
 let max_expansion = 65536
 
-let check_bounds ~fail ~size m n =
-  if m > max_repeat || (match n with Some n -> n > max_repeat | None -> false) then
-    fail "repetition count too large";
-  let units = match n with None -> m + 1 | Some n -> max n 1 in
-  if units * size > max_expansion then fail "bounded repetition expands too far"
-
-(* '{', '}' and '&' are claimed by the spanner-level syntaxes (variable
-   bindings and references); reserving them here keeps one escaping
-   discipline across all three parsers. *)
+(* '{', '}', '&' and '!' are claimed by the spanner-level syntaxes
+   (variable bindings and references); reserving them in every grammar
+   keeps one escaping discipline. *)
 let is_meta c = String.contains "|*+?()[]{}.\\&!" c
 
 let escape s =
@@ -101,7 +94,25 @@ let escape s =
     s;
   Buffer.contents buf
 
-type parser_state = { input : string; mutable pos : int }
+type 'a syntax = {
+  epsilon : 'a;
+  chars : Charset.t -> 'a;
+  concat : 'a -> 'a -> 'a;
+  alt : 'a -> 'a -> 'a;
+  star : 'a -> 'a;
+  plus : 'a -> 'a;
+  opt : 'a -> 'a;
+  size : 'a -> int;
+  bind : (string -> 'a -> 'a) option;
+  reference : (string -> 'a) option;
+}
+
+type 'a parser_state = {
+  syn : 'a syntax;
+  input : string;
+  mutable pos : int;
+  mutable depth : int;  (* open !x{ bindings: only inside one does '}' end a term *)
+}
 
 let fail st message = raise (Parse_error (message, st.pos))
 
@@ -113,6 +124,29 @@ let expect st c =
   match peek st with
   | Some d when d = c -> advance st
   | _ -> fail st (Printf.sprintf "expected '%c'" c)
+
+let parse_ident st =
+  let start = st.pos in
+  while
+    match peek st with Some ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') -> true | _ -> false
+  do
+    advance st
+  done;
+  if st.pos = start then fail st "expected a variable name";
+  String.sub st.input start (st.pos - start)
+
+(* One class member at [st.pos] (the caller has seen a byte there),
+   after its escape if any. *)
+let class_char st =
+  let c = st.input.[st.pos] in
+  advance st;
+  if c <> '\\' then c
+  else
+    match peek st with
+    | Some d ->
+        advance st;
+        d
+    | None -> fail st "dangling escape in character class"
 
 let parse_class st =
   (* Called just after '['. *)
@@ -129,64 +163,25 @@ let parse_class st =
     | Some ']' ->
         advance st;
         acc
-    | Some c ->
-        advance st;
-        let c = if c = '\\' then (match peek st with
-            | Some d ->
-                advance st;
-                d
-            | None -> fail st "dangling escape in character class")
-          else c
-        in
+    | Some _ -> (
+        let lo = class_char st in
         (* A '-' between two characters denotes a range; a trailing or
            leading '-' is a literal. *)
-        (match peek st with
-        | Some '-' when (match st.pos + 1 < String.length st.input with
-                         | true -> st.input.[st.pos + 1] <> ']'
-                         | false -> false) ->
+        match peek st with
+        | Some '-'
+          when st.pos + 1 < String.length st.input && st.input.[st.pos + 1] <> ']' ->
             advance st;
-            let hi =
-              match peek st with
-              | Some '\\' ->
-                  advance st;
-                  (match peek st with
-                  | Some d ->
-                      advance st;
-                      d
-                  | None -> fail st "dangling escape in character class")
-              | Some d ->
-                  advance st;
-                  d
-              | None -> fail st "unterminated range"
-            in
-            if Char.code hi < Char.code c then fail st "inverted range";
-            items (Charset.union acc (Charset.range c hi))
-        | _ -> items (Charset.add acc c))
+            let hi = class_char st in
+            if Char.code hi < Char.code lo then fail st "inverted range";
+            items (Charset.union acc (Charset.range lo hi))
+        | _ -> items (Charset.add acc lo))
   in
   let cs = items Charset.empty in
   if negated then Charset.complement cs else cs
 
-let rec parse_alt st =
-  let left = parse_concat st in
-  match peek st with
-  | Some '|' ->
-      advance st;
-      alt left (parse_alt st)
-  | _ -> left
-
-and parse_concat st =
-  let rec loop acc =
-    match peek st with
-    | None | Some ('|' | ')') -> acc
-    | Some ('*' | '+' | '?') -> fail st "dangling postfix operator"
-    | Some _ -> loop (concat acc (parse_postfix st))
-  in
-  loop Epsilon
-
-(* Shared by the three spanner-level parsers: parse a bounded
-   repetition suffix "{m}", "{m,}" or "{m,n}" just after the '{'.
-   Returns (m, n option); n = None means unbounded. *)
-and parse_bounds st =
+(* A bounded repetition suffix "{m}", "{m,}" or "{m,n}" just after the
+   '{'.  Returns (m, n option); n = None means unbounded. *)
+let parse_bounds st =
   let read_int () =
     let start = st.pos in
     while (match peek st with Some ('0' .. '9') -> true | _ -> false) do
@@ -213,66 +208,106 @@ and parse_bounds st =
   expect st '}';
   bounds
 
+let rec parse_alt st =
+  let left = parse_concat st in
+  match peek st with
+  | Some '|' ->
+      advance st;
+      st.syn.alt left (parse_alt st)
+  | _ -> left
+
+and parse_concat st =
+  let rec loop acc =
+    match peek st with
+    | None | Some ('|' | ')') -> acc
+    | Some '}' when st.depth > 0 -> acc
+    | Some ('*' | '+' | '?') -> fail st "dangling postfix operator"
+    | Some _ -> loop (st.syn.concat acc (parse_postfix st))
+  in
+  loop st.syn.epsilon
+
 and parse_postfix st =
+  let syn = st.syn in
   let base = parse_atom st in
   let rec loop r =
     match peek st with
     | Some '*' ->
         advance st;
-        loop (star r)
+        loop (syn.star r)
     | Some '+' ->
         advance st;
-        loop (plus r)
+        loop (syn.plus r)
     | Some '?' ->
         advance st;
-        loop (opt r)
+        loop (syn.opt r)
     | Some '{' ->
         advance st;
         let m, n = parse_bounds st in
-        check_bounds ~fail:(fail st) ~size:(size r) m n;
+        if m > max_repeat || (match n with Some n -> n > max_repeat | None -> false) then
+          fail st "repetition count too large";
+        let units = match n with None -> m + 1 | Some n -> max n 1 in
+        if units * syn.size r > max_expansion then fail st "bounded repetition expands too far";
+        let concat_list rs = List.fold_left syn.concat syn.epsilon rs in
         let repeated = concat_list (List.init m (fun _ -> r)) in
         let tail =
           match n with
-          | None -> star r
-          | Some n -> concat_list (List.init (n - m) (fun _ -> opt r))
+          | None -> syn.star r
+          | Some n -> concat_list (List.init (n - m) (fun _ -> syn.opt r))
         in
-        loop (concat repeated tail)
+        loop (syn.concat repeated tail)
     | _ -> r
   in
   loop base
 
 and parse_atom st =
-  match peek st with
-  | None -> fail st "expected an atom"
-  | Some '(' ->
+  let syn = st.syn in
+  match (peek st, syn.bind, syn.reference) with
+  | None, _, _ -> fail st "expected an atom"
+  | Some '!', Some bind, _ ->
+      advance st;
+      let name = parse_ident st in
+      expect st '{';
+      st.depth <- st.depth + 1;
+      let body = parse_alt st in
+      expect st '}';
+      st.depth <- st.depth - 1;
+      bind name body
+  | Some '&', _, Some reference ->
+      advance st;
+      reference (parse_ident st)
+  | Some '(', _, _ ->
       advance st;
       let r = parse_alt st in
       expect st ')';
       r
-  | Some '[' ->
+  | Some '[', _, _ ->
       advance st;
-      chars (parse_class st)
-  | Some '.' ->
+      syn.chars (parse_class st)
+  | Some '.', _, _ ->
       advance st;
-      Chars Charset.full
-  | Some '\\' ->
+      syn.chars Charset.full
+  | Some '\\', _, _ ->
       advance st;
       (match peek st with
       | Some c ->
           advance st;
-          char c
+          syn.chars (Charset.singleton c)
       | None -> fail st "dangling escape")
-  | Some (('{' | '}' | '&' | '!') as c) ->
+  | Some (('{' | '}' | '&' | '!') as c), _, _ ->
       fail st (Printf.sprintf "reserved character '%c' must be escaped" c)
-  | Some c ->
+  | Some c, _, _ ->
       advance st;
-      char c
+      syn.chars (Charset.singleton c)
 
-let parse input =
-  let st = { input; pos = 0 } in
+let parse_with syn input =
+  let st = { syn; input; pos = 0; depth = 0 } in
   let r = parse_alt st in
   (match peek st with None -> () | Some c -> fail st (Printf.sprintf "unexpected '%c'" c));
   r
+
+let parse =
+  parse_with
+    { epsilon; chars; concat; alt; star; plus; opt; size; bind = None; reference = None }
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

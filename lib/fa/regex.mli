@@ -21,7 +21,9 @@
           | '\' c          escaped literal
     v}
 
-    Escapes are required for the metacharacters [|*+?()[]{}.\&]. *)
+    Escapes are required for the metacharacters [|*+?()[]{}.\&!].
+    Inside a class, ['\'] escapes the next byte, so ['\\'], ['\]'],
+    ['\^'] and ['\-'] are literal members. *)
 
 type t =
   | Empty  (** the empty language ∅ *)
@@ -79,17 +81,11 @@ val size : t -> int
     counted repetitions multiply and adversarial input could OOM the
     parser.  Each application is capped: counts at most {!max_repeat}
     and the expanded subterm at most {!max_expansion} nodes; beyond
-    either, parsing fails with {!Parse_error}.  Shared by all three
-    spanner-level parsers. *)
+    either, parsing fails with {!Parse_error}. *)
 
 val max_repeat : int
 
 val max_expansion : int
-
-(** [check_bounds ~fail ~size m n] applies the caps to one repetition
-    of a subterm of [size] nodes, calling [fail msg] (which must not
-    return) on violation. *)
-val check_bounds : fail:(string -> unit) -> size:int -> int -> int option -> unit
 
 exception Parse_error of string * int
 (** [Parse_error (message, position)] carries a 0-based offset into the
@@ -99,13 +95,50 @@ exception Parse_error of string * int
     @raise Parse_error on malformed input. *)
 val parse : string -> t
 
+(** {1 The regex family's one parser}
+
+    Regex formulas ({!Spanner_core.Regex_formula}) and refl regexes
+    ({!Spanner_refl.Refl_regex}) share this grammar — classes, bounded
+    repetition, postfix operators, atoms — and add atoms of their own.
+    A ['a syntax] names the AST builders of one grammar: its smart
+    constructors, its node count (for the repetition caps), and the two
+    optional atoms
+
+    {v
+      '!' x '{' r '}'   binding of variable x (when [bind] is given)
+      '&' x             reference to variable x (when [reference] is given)
+    v}
+
+    with [x] a non-empty run of [[a-zA-Z0-9_]].  Without them, ['!'] and
+    ['&'] are reserved characters; ['}'] ends a term only inside a
+    binding and is reserved elsewhere. *)
+
+type 'a syntax = {
+  epsilon : 'a;
+  chars : Charset.t -> 'a;
+  concat : 'a -> 'a -> 'a;
+  alt : 'a -> 'a -> 'a;
+  star : 'a -> 'a;
+  plus : 'a -> 'a;
+  opt : 'a -> 'a;
+  size : 'a -> int;
+  bind : (string -> 'a -> 'a) option;
+  reference : (string -> 'a) option;
+}
+
+(** [parse_with syn s] parses [s] into [syn]'s AST.  {!parse} is
+    [parse_with] over this module's constructors, with neither
+    extension.
+    @raise Parse_error on malformed input. *)
+val parse_with : 'a syntax -> string -> 'a
+
 (** [pp ppf r] prints a parseable rendering of [r]. *)
 val pp : Format.formatter -> t -> unit
 
 (** [to_string r] is {!pp} to a string. *)
 val to_string : t -> string
 
-(** {1 Metacharacter helpers shared with the spanner-level parsers} *)
+(** {1 Metacharacter helpers} *)
 
 (** [is_meta c] tests whether [c] must be escaped in literals. *)
 val is_meta : char -> bool

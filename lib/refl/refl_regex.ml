@@ -72,163 +72,20 @@ let rec size = function
 (* ------------------------------------------------------------------ *)
 (* Parser: regex-formula grammar plus [&x]                             *)
 
-type parser_state = { input : string; mutable pos : int }
-
-let fail st message = raise (Regex.Parse_error (message, st.pos))
-
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let expect st c =
-  match peek st with
-  | Some d when d = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%c'" c)
-
-let parse_ident st =
-  let start = st.pos in
-  let is_ident c =
-    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
-  in
-  while (match peek st with Some c -> is_ident c | None -> false) do
-    advance st
-  done;
-  if st.pos = start then fail st "expected a variable name";
-  String.sub st.input start (st.pos - start)
-
-let parse_class st =
-  let start = st.pos - 1 in
-  let rec find_end i escaped =
-    if i >= String.length st.input then fail st "unterminated character class"
-    else if escaped then find_end (i + 1) false
-    else
-      match st.input.[i] with
-      | '\\' -> find_end (i + 1) true
-      | ']' -> i
-      | _ -> find_end (i + 1) false
-  in
-  let close = find_end st.pos false in
-  let fragment = String.sub st.input start (close - start + 1) in
-  st.pos <- close + 1;
-  match Regex.parse fragment with
-  | Regex.Chars cs -> Chars cs
-  | Regex.Empty -> Empty
-  | _ -> fail st "malformed character class"
-
-let rec parse_alt st =
-  let left = parse_concat st in
-  match peek st with
-  | Some '|' ->
-      advance st;
-      alt left (parse_alt st)
-  | _ -> left
-
-and parse_concat st =
-  let rec loop acc =
-    match peek st with
-    | None | Some ('|' | ')' | '}') -> acc
-    | Some ('*' | '+' | '?') -> fail st "dangling postfix operator"
-    | Some _ -> loop (concat acc (parse_postfix st))
-  in
-  loop Epsilon
-
-and parse_bounds st =
-  let read_int () =
-    let start = st.pos in
-    while (match peek st with Some ('0' .. '9') -> true | _ -> false) do
-      advance st
-    done;
-    if st.pos = start then fail st "expected a repetition count";
-    match int_of_string_opt (String.sub st.input start (st.pos - start)) with
-    | Some n -> n
-    | None -> fail st "repetition count too large"
-  in
-  let m = read_int () in
-  let bounds =
-    match peek st with
-    | Some ',' ->
-        advance st;
-        (match peek st with
-        | Some '0' .. '9' ->
-            let n = read_int () in
-            if n < m then fail st "repetition bounds out of order";
-            (m, Some n)
-        | _ -> (m, None))
-    | _ -> (m, Some m)
-  in
-  expect st '}';
-  bounds
-
-and parse_postfix st =
-  let base = parse_atom st in
-  let rec loop r =
-    match peek st with
-    | Some '*' ->
-        advance st;
-        loop (star r)
-    | Some '+' ->
-        advance st;
-        loop (plus r)
-    | Some '?' ->
-        advance st;
-        loop (opt r)
-    | Some '{' ->
-        advance st;
-        let m, n = parse_bounds st in
-        Regex.check_bounds ~fail:(fail st) ~size:(size r) m n;
-        let repeated = concat_list (List.init m (fun _ -> r)) in
-        let tail =
-          match n with
-          | None -> star r
-          | Some n -> concat_list (List.init (n - m) (fun _ -> opt r))
-        in
-        loop (concat repeated tail)
-    | _ -> r
-  in
-  loop base
-
-and parse_atom st =
-  match peek st with
-  | None -> fail st "expected an atom"
-  | Some '!' ->
-      advance st;
-      let name = parse_ident st in
-      expect st '{';
-      let body = parse_alt st in
-      expect st '}';
-      Bind (Variable.of_string name, body)
-  | Some '&' ->
-      advance st;
-      Ref (Variable.of_string (parse_ident st))
-  | Some '(' ->
-      advance st;
-      let r = parse_alt st in
-      expect st ')';
-      r
-  | Some '[' ->
-      advance st;
-      parse_class st
-  | Some '.' ->
-      advance st;
-      Chars Charset.full
-  | Some '\\' ->
-      advance st;
-      (match peek st with
-      | Some c ->
-          advance st;
-          char c
-      | None -> fail st "dangling escape")
-  | Some (('{' | '}') as c) ->
-      fail st (Printf.sprintf "reserved character '%c' must be escaped" c)
-  | Some c ->
-      advance st;
-      char c
-
-let parse input =
-  let st = { input; pos = 0 } in
-  let r = parse_alt st in
-  (match peek st with None -> () | Some c -> fail st (Printf.sprintf "unexpected '%c'" c));
-  r
+let parse =
+  Regex.parse_with
+    {
+      Regex.epsilon;
+      chars;
+      concat;
+      alt;
+      star;
+      plus;
+      opt;
+      size;
+      bind = Some (fun x -> bind (Variable.of_string x));
+      reference = Some (fun x -> reference (Variable.of_string x));
+    }
 
 let rec pp_prec prec ppf r =
   let parens lvl body = if prec > lvl then Format.fprintf ppf "(%t)" body else body ppf in

@@ -58,6 +58,23 @@ let frame payload =
   encode_frame buf payload;
   Buffer.contents buf
 
+(* [length_of_digits ~max_frame digits] validates a complete length
+   line (shared by the string and conn decoders; the conn reader
+   enforces the 19-digit cap while accumulating). *)
+let length_of_digits ~max_frame digits =
+  if digits = "" then corrupt "empty length line";
+  String.iter
+    (fun c ->
+      if c < '0' || c > '9' then
+        corrupt (Printf.sprintf "non-digit byte 0x%02x in length line" (Char.code c)))
+    digits;
+  match int_of_string_opt digits with
+  | None -> corrupt "length overflows"
+  | Some len ->
+      if len > max_frame then
+        corrupt (Printf.sprintf "frame of %d bytes exceeds the %d-byte cap" len max_frame);
+      len
+
 (* [decode_length s pos ~max_frame] reads the length line starting at
    [pos]: (payload length, offset just past the '\n').  [None] when
    [s] ends cleanly at [pos] (no more frames). *)
@@ -67,20 +84,10 @@ let decode_length s pos ~max_frame =
   else begin
     let stop = ref pos in
     while !stop < n && s.[!stop] <> '\n' do incr stop done;
-    let digits = !stop - pos in
-    if digits = 0 then corrupt "empty length line";
-    if digits > 19 then corrupt "length line longer than 19 digits";
-    for i = pos to !stop - 1 do
-      if s.[i] < '0' || s.[i] > '9' then
-        corrupt (Printf.sprintf "non-digit byte 0x%02x in length line" (Char.code s.[i]))
-    done;
+    if !stop - pos > 19 then corrupt "length line longer than 19 digits";
+    let len = length_of_digits ~max_frame (String.sub s pos (!stop - pos)) in
     if !stop >= n then corrupt "truncated frame: length line without newline";
-    match int_of_string_opt (String.sub s pos digits) with
-    | None -> corrupt "length overflows"
-    | Some len ->
-        if len > max_frame then
-          corrupt (Printf.sprintf "frame of %d bytes exceeds the %d-byte cap" len max_frame);
-        Some (len, !stop + 1)
+    Some (len, !stop + 1)
   end
 
 (* [decode_frames s] splits a byte string into its complete frames;
@@ -97,60 +104,11 @@ let decode_frames ?(max_frame = default_max_frame) s =
   in
   go 0 []
 
-(* [length_of_digits ~max_frame digits] validates a complete length
-   line (shared by the channel and conn readers, which enforce the
-   19-digit cap while accumulating). *)
-let length_of_digits ~max_frame digits =
-  if digits = "" then corrupt "empty length line";
-  String.iter
-    (fun c ->
-      if c < '0' || c > '9' then
-        corrupt (Printf.sprintf "non-digit byte 0x%02x in length line" (Char.code c)))
-    digits;
-  match int_of_string_opt digits with
-  | None -> corrupt "length overflows"
-  | Some len ->
-      if len > max_frame then
-        corrupt (Printf.sprintf "frame of %d bytes exceeds the %d-byte cap" len max_frame);
-      len
-
-(* Channel-level framing, kept for in-process harnesses (the bench
-   drives raw channels at a server); the live server and client use
-   the fd-level [conn] below.  A clean EOF before any length byte is
-   the end of the conversation ([None]); EOF inside a frame is a
-   truncation error. *)
-let read_frame ?(max_frame = default_max_frame) ic =
-  let line = Buffer.create 20 in
-  let rec read_length () =
-    match input_char ic with
-    | '\n' -> Buffer.contents line
-    | c ->
-        if Buffer.length line >= 19 then corrupt "length line longer than 19 digits";
-        Buffer.add_char line c;
-        read_length ()
-    | exception End_of_file ->
-        if Buffer.length line = 0 then raise End_of_file
-        else corrupt "truncated frame: length line without newline"
-  in
-  match read_length () with
-  | exception End_of_file -> None
-  | digits -> (
-      match length_of_digits ~max_frame digits with
-      | len -> (
-          try Some (really_input_string ic len)
-          with End_of_file -> corrupt "truncated frame: payload cut short"))
-
-let write_frame oc payload =
-  output_string oc (string_of_int (String.length payload));
-  output_char oc '\n';
-  output_string oc payload;
-  flush oc
-
 (* ------------------------------------------------------------------ *)
 (* Connection-level framing on raw file descriptors.
 
-   The live server and client no longer speak through stdlib channels:
-   a [conn] owns the fd and a read buffer, every [Unix.read]/[write]
+   The live server and client speak through a [conn], not stdlib
+   channels: it owns the fd and a read buffer, every [Unix.read]/[write]
    retries EINTR and loops partial transfers (a signal during a large
    --body-file send can no longer corrupt a frame), and — when
    configured — per-connection deadlines ride on SO_RCVTIMEO /

@@ -34,15 +34,6 @@ val frame : string -> string
     malformation, including a trailing partial frame. *)
 val decode_frames : ?max_frame:int -> string -> string list
 
-(** [read_frame ?max_frame ic] reads one frame ([None] on a clean EOF
-    before the first length byte).
-    @raise Spanner_util.Limits.Spanner_error ([Corrupt_input]) on a
-    truncated or malformed frame. *)
-val read_frame : ?max_frame:int -> in_channel -> string option
-
-(** [write_frame oc payload] writes one frame and flushes. *)
-val write_frame : out_channel -> string -> unit
-
 (** {1 Connections}
 
     Fd-level framing used by the live server and client: EINTR is

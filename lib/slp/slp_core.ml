@@ -9,19 +9,10 @@ let create core store =
     hash = Slp_hash.create store;
   }
 
-let selections_hold t id tuple =
-  List.for_all
-    (fun z ->
-      let spans =
-        Variable.Set.fold
-          (fun x acc -> match Span_tuple.find tuple x with None -> acc | Some s -> s :: acc)
-          z []
-      in
-      match spans with
-      | [] | [ _ ] -> true
-      | first :: rest ->
-          let range s = (Span.left s, Span.right s) in
-          List.for_all (fun s -> Slp_hash.factor_equal t.hash id (range first) (range s)) rest)
+let selections_hold t id =
+  Core_spanner.selections_hold
+    ~equal:(fun a b ->
+      Slp_hash.factor_equal t.hash id (Span.left a, Span.right a) (Span.left b, Span.right b))
     t.core.Core_spanner.selections
 
 (* The automaton's tuples on 𝔇(id), pulled one at a time from the

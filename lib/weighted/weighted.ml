@@ -91,7 +91,7 @@ module Make (K : Semiring.S) = struct
     finish w !vec
 
   let weighted_relation w doc =
-    let tuples = Enumerate.to_relation w.auto doc in
+    let tuples = Compiled.eval (Compiled.of_evset w.auto) doc in
     let weighted =
       List.map (fun t -> (t, tuple_weight w doc t)) (Span_relation.tuples tuples)
     in

@@ -286,47 +286,50 @@ let enumeration_matches_oracle () =
       List.iter
         (fun doc ->
           let oracle = Evset.eval e doc in
-          let enum = Enumerate.to_relation e doc in
+          let enum = Compiled.eval (Compiled.of_evset e) doc in
           if not (Span_relation.equal oracle enum) then
             Alcotest.failf "%s on %S: enumeration differs from oracle" fs doc)
         docs)
     formulas
 
+let prepare fs doc =
+  Compiled.prepare (Compiled.of_evset (Evset.of_formula (Regex_formula.parse fs))) doc
+
 let enumeration_duplicate_free () =
-  let e = Evset.of_formula (Regex_formula.parse ".*!x{.*}.*") in
-  let p = Enumerate.prepare e "aaaa" in
+  let cur = Compiled.cursor (prepare ".*!x{.*}.*" "aaaa") in
   let seen = Hashtbl.create 16 in
-  Enumerate.iter p (fun tuple ->
+  Seq.iter
+    (fun tuple ->
       let key = Format.asprintf "%a" Span_tuple.pp tuple in
       if Hashtbl.mem seen key then Alcotest.failf "duplicate tuple %s" key;
-      Hashtbl.add seen key ());
+      Hashtbl.add seen key ())
+    (Seq.of_dispenser (fun () -> Compiled.cursor_next cur));
   check Alcotest.int "15 spans of aaaa" 15 (Hashtbl.length seen)
 
 let enumeration_cardinal () =
-  let e = Evset.of_formula (Regex_formula.parse "[ab]*!x{a}[ab]*") in
-  let p = Enumerate.prepare e "abaabbba" in
-  check Alcotest.int "cardinal = #a" 4 (Enumerate.cardinal p);
-  check Alcotest.int "empty doc" 0 (Enumerate.cardinal (Enumerate.prepare e ""));
-  let p2 = Enumerate.prepare e "bbb" in
-  check Alcotest.int "no match" 0 (Enumerate.cardinal p2);
-  check Alcotest.bool "first none" true (Enumerate.first p2 = None);
-  check Alcotest.bool "first some" true (Enumerate.first p <> None)
+  let p = prepare "[ab]*!x{a}[ab]*" "abaabbba" in
+  check Alcotest.int "cardinal = #a" 4 (Compiled.cardinal p);
+  check Alcotest.int "empty doc" 0 (Compiled.cardinal (prepare "[ab]*!x{a}[ab]*" ""));
+  let p2 = prepare "[ab]*!x{a}[ab]*" "bbb" in
+  let first p = Compiled.cursor_next (Compiled.cursor p) in
+  check Alcotest.int "no match" 0 (Compiled.cardinal p2);
+  check Alcotest.bool "first none" true (first p2 = None);
+  check Alcotest.bool "first some" true (first p <> None)
 
 let enumeration_seq_lazy () =
-  let e = Evset.of_formula (Regex_formula.parse "[a]*!x{a}[a]*") in
-  let p = Enumerate.prepare e (String.make 50 'a') in
-  let s = Enumerate.to_seq p in
+  (* the cursor hands out tuples one pull at a time and resumes where
+     the last pull stopped *)
+  let cur = Compiled.cursor (prepare "[a]*!x{a}[a]*" (String.make 50 'a')) in
+  let s = Seq.of_dispenser (fun () -> Compiled.cursor_next cur) in
   let first3 = List.of_seq (Seq.take 3 s) in
   check Alcotest.int "take 3" 3 (List.length first3);
-  check Alcotest.int "full count" 50 (List.length (List.of_seq s))
+  check Alcotest.int "full count" 50 (3 + List.length (List.of_seq s))
 
 let enumeration_stats () =
-  let e = Evset.of_formula (Regex_formula.parse "[ab]*!x{ab}[ab]*") in
-  let p = Enumerate.prepare e "abababab" in
-  let stats = Enumerate.stats p in
-  check Alcotest.int "boundaries" 9 stats.Enumerate.boundaries;
-  check Alcotest.bool "nodes positive" true (stats.Enumerate.nodes > 0);
-  check Alcotest.bool "edges positive" true (stats.Enumerate.edges > 0)
+  let stats = Compiled.stats (prepare "[ab]*!x{ab}[ab]*" "abababab") in
+  check Alcotest.int "boundaries" 9 stats.Compiled.boundaries;
+  check Alcotest.bool "nodes positive" true (stats.Compiled.nodes > 0);
+  check Alcotest.bool "edges positive" true (stats.Compiled.edges > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Decision-module façade *)

@@ -21,7 +21,7 @@ let binary_documents () =
   let r = Evset.eval e doc in
   check Alcotest.int "three NULs" 3 (Span_relation.cardinal r);
   check Alcotest.bool "enumeration agrees" true
-    (Span_relation.equal r (Enumerate.to_relation e doc));
+    (Span_relation.equal r (Compiled.eval (Compiled.of_evset e) doc));
   (* negated classes across the byte range *)
   let e2 = Evset.of_formula (Regex_formula.parse "[^\x00]*") in
   check Alcotest.bool "no NUL" true (Evset.nonempty_on e2 "abc\xff");
@@ -45,22 +45,26 @@ let highly_ambiguous_enumeration () =
      enumerates each *tuple* exactly once *)
   let e = Evset.of_formula (Regex_formula.parse "(a|aa)*!x{a?}(a|aa)*") in
   let doc = String.make 14 'a' in
-  let p = Enumerate.prepare e doc in
+  let p = Compiled.prepare (Compiled.of_evset e) doc in
   let seen = Hashtbl.create 64 in
-  Enumerate.iter p (fun t ->
+  let cur = Compiled.cursor p in
+  Seq.iter
+    (fun t ->
       let key = Format.asprintf "%a" Span_tuple.pp t in
       if Hashtbl.mem seen key then Alcotest.failf "duplicate %s" key;
-      Hashtbl.add seen key ());
+      Hashtbl.add seen key ())
+    (Seq.of_dispenser (fun () -> Compiled.cursor_next cur));
   (* x binds either an empty span (15 positions) or one a (14) — plus
      the schemaless unbound case is impossible (x always bound) *)
   check Alcotest.int "tuples" 29 (Hashtbl.length seen);
-  check Alcotest.int "cardinal agrees" 29 (Enumerate.cardinal p)
+  check Alcotest.int "cardinal agrees" 29 (Compiled.cardinal p)
 
 let quadratic_output () =
   (* all spans of a^60: 61·62/2 = 1891 tuples through all three routes *)
   let e = Evset.of_formula (Regex_formula.parse ".*!x{.*}.*") in
   let doc = String.make 60 'a' in
-  check Alcotest.int "enumerate" 1891 (Enumerate.cardinal (Enumerate.prepare e doc));
+  check Alcotest.int "enumerate" 1891
+    (Compiled.cardinal (Compiled.prepare (Compiled.of_evset e) doc));
   let store = Spanner_slp.Slp.create_store () in
   let engine = Spanner_slp.Slp_spanner.create e store in
   check Alcotest.int "compressed" 1891
@@ -105,7 +109,8 @@ let long_linear_document () =
 let degenerate_cases () =
   let dead = Evset.of_formula (Regex_formula.parse "!x{a}[]") in
   check Alcotest.int "eval of dead spanner" 0 (Span_relation.cardinal (Evset.eval dead "aaa"));
-  check Alcotest.int "enumerate dead" 0 (Enumerate.cardinal (Enumerate.prepare dead "aaa"));
+  check Alcotest.int "enumerate dead" 0
+    (Compiled.cardinal (Compiled.prepare (Compiled.of_evset dead) "aaa"));
   check Alcotest.bool "join with dead is dead" false
     (Evset.satisfiable (Evset.join dead (Evset.of_formula (Regex_formula.parse "!x{a}"))));
   (* empty doc through every route *)

@@ -126,6 +126,35 @@ let regex_print_parse_roundtrip () =
         Alcotest.failf "roundtrip failed for %s -> %s" s printed)
     cases
 
+(* Registry compiles DEFINE bodies from their printed form, so a class
+   must print back to the same set, including the bytes the class
+   grammar gives a meaning: backslash, ], ^ and - *)
+let prop_class_print_parse =
+  let byte =
+    QCheck2.Gen.(oneof [ map Char.chr (0 -- 255); oneofl [ '\\'; ']'; '^'; '-'; '['; '!' ] ])
+  in
+  let piece =
+    QCheck2.Gen.(
+      oneof
+        [
+          map Charset.singleton byte;
+          map2 (fun a b -> Charset.range (min a b) (max a b)) byte byte;
+        ])
+  in
+  QCheck2.Test.make ~name:"printed classes re-parse to the same set (all 256 bytes)" ~count:1000
+    QCheck2.Gen.(
+      map2
+        (fun pieces negate ->
+          let cs = List.fold_left Charset.union Charset.empty pieces in
+          if negate then Charset.complement cs else cs)
+        (list_size (0 -- 6) piece) bool)
+    ~print:(fun cs -> String.escaped (Regex.to_string (Regex.chars cs)))
+    (fun cs ->
+      match Regex.parse (Regex.to_string (Regex.chars cs)) with
+      | Regex.Empty -> Charset.is_empty cs
+      | Regex.Chars cs' -> Charset.equal cs cs'
+      | _ -> false)
+
 let regex_smart_constructors () =
   check Alcotest.bool "empty annihilates" true (Regex.concat Regex.empty (Regex.char 'a') = Regex.Empty);
   check Alcotest.bool "epsilon unit" true (Regex.concat Regex.epsilon (Regex.char 'a') = Regex.char 'a');
@@ -294,6 +323,7 @@ let () =
           tc "bounded repetition" `Quick regex_bounded_repetition;
           tc "print/parse roundtrip" `Quick regex_print_parse_roundtrip;
           tc "smart constructors" `Quick regex_smart_constructors;
+          QCheck_alcotest.to_alcotest prop_class_print_parse;
         ] );
       ( "nfa",
         [

@@ -32,7 +32,7 @@ let four_way_consistency () =
       for _ = 1 to 10 do
         let doc = X.string rng "abc" (1 + X.int rng 30) in
         let oracle = Evset.eval e doc in
-        let enum = Enumerate.to_relation e doc in
+        let enum = Compiled.eval (Compiled.of_evset e) doc in
         let slp = Slp_spanner.to_relation engine (Builder.lz78 store doc) in
         if not (Span_relation.equal oracle enum) then
           Alcotest.failf "%s/%S: enumeration diverges" fs doc;

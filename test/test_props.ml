@@ -125,7 +125,7 @@ let prop_formula_eval_matches_enumeration =
     ~print:(fun (f, doc) -> Printf.sprintf "%s on %S" (formula_print f) doc)
     (fun (f, doc) ->
       let e = Evset.of_formula f in
-      Span_relation.equal (Evset.eval e doc) (Enumerate.to_relation e doc))
+      Span_relation.equal (Evset.eval e doc) (Compiled.eval (Compiled.of_evset e) doc))
 
 let prop_model_checking_consistent =
   QCheck2.Test.make ~name:"t ∈ eval(D) iff accepts_tuple (ModelChecking)" ~count:100

@@ -228,6 +228,65 @@ let refl_contains_sound () =
   let alt = Refl_spanner.parse "!x{a+|b+}b&x" in
   check Alcotest.bool "superset language" true (Refl_spanner.contains_sound alt small)
 
+(* ------------------------------------------------------------------ *)
+(* One parser for Regex, Regex_formula and Refl_regex *)
+
+module Regex = Spanner_fa.Regex
+
+let parse_outcomes s =
+  let run parse =
+    match parse s with x -> Ok x | exception Regex.Parse_error (m, p) -> Error (m, p)
+  in
+  (run Regex.parse, run Regex_formula.parse, run Refl_regex.parse)
+
+let parse_error_offsets () =
+  List.iter
+    (fun (input, expected) ->
+      let show = function Ok _ -> "ok" | Error (m, p) -> Printf.sprintf "%s at %d" m p in
+      let r, f, rr = parse_outcomes input in
+      List.iter
+        (fun (which, got) ->
+          check Alcotest.string (Printf.sprintf "%s %S" which input) (show (Error expected))
+            (show got))
+        [
+          ("regex", Result.map ignore r);
+          ("formula", Result.map ignore f);
+          ("refl", Result.map ignore rr);
+        ])
+    [
+      ("abcdef[z-a]", ("inverted range", 10));
+      ("xxxxxx[a\\", ("dangling escape in character class", 9));
+      ("ab[cd", ("unterminated character class", 5));
+      ("a}b", ("reserved character '}' must be escaped", 1));
+    ]
+
+(* Regex's smart constructors simplify more than the spanner-level
+   ones (alternatives of classes merge, r** collapses), so a formula is
+   compared with Regex's AST after rebuilding it through them. *)
+let rec regex_of_formula = function
+  | Regex_formula.Empty -> Regex.empty
+  | Regex_formula.Epsilon -> Regex.epsilon
+  | Regex_formula.Chars cs -> Regex.chars cs
+  | Regex_formula.Concat (a, b) -> Regex.concat (regex_of_formula a) (regex_of_formula b)
+  | Regex_formula.Alt (a, b) -> Regex.alt (regex_of_formula a) (regex_of_formula b)
+  | Regex_formula.Star a -> Regex.star (regex_of_formula a)
+  | Regex_formula.Plus a -> Regex.plus (regex_of_formula a)
+  | Regex_formula.Opt a -> Regex.opt (regex_of_formula a)
+  | Regex_formula.Bind _ -> invalid_arg "regex_of_formula: binding"
+
+let prop_parsers_agree =
+  QCheck2.Test.make ~name:"Regex, Regex_formula, Refl_regex agree on !/&-free inputs"
+    ~count:3000
+    QCheck2.Gen.(
+      string_size ~gen:(oneofl (List.of_seq (String.to_seq "ab[]^-\\(){},|*+?.0123"))) (0 -- 12))
+    ~print:String.escaped
+    (fun s ->
+      match parse_outcomes s with
+      | Ok r, Ok f, Ok rr ->
+          r = regex_of_formula f && rr = Refl_regex.of_formula f
+      | Error e1, Error e2, Error e3 -> e1 = e2 && e2 = e3
+      | _ -> false)
+
 let () =
   Alcotest.run "refl"
     [
@@ -250,6 +309,11 @@ let () =
           tc "nonemptiness/satisfiability (§3.3)" `Quick refl_nonempty_satisfiable;
           tc "unsound input rejected" `Quick refl_unsound_rejected;
           tc "sound containment (§3.3)" `Quick refl_contains_sound;
+        ] );
+      ( "parsers",
+        [
+          tc "error offsets and messages" `Quick parse_error_offsets;
+          QCheck_alcotest.to_alcotest prop_parsers_agree;
         ] );
       ( "translations",
         [

@@ -216,6 +216,29 @@ let registry_define_and_plan () =
   | _ -> Alcotest.fail "unknown name must fail"
   | exception Limits.Spanner_error (Limits.Eval_failure _) -> ()
 
+(* DEFINE and inline bodies are compiled from their normalized
+   (printed) text, so a class member the class grammar gives a meaning
+   must print escaped, or the server answers a different query *)
+let registry_class_bodies_survive_normalization () =
+  let r = registry () in
+  List.iteri
+    (fun i body ->
+      let direct = Compiled.of_formula (Regex_formula.parse body) in
+      let defined = Registry.define r ~name:(Printf.sprintf "c%d" i) ~body in
+      let inline = Registry.plan r (Protocol.Inline body) in
+      List.iter
+        (fun doc ->
+          let expected = Compiled.eval direct doc in
+          List.iter
+            (fun (how, plan) ->
+              let got = Optimizer.eval plan doc in
+              if not (Span_relation.equal expected got) then
+                Alcotest.failf "%s body %S on %S: %d tuple(s), direct parse gives %d" how body
+                  doc (Span_relation.cardinal got) (Span_relation.cardinal expected))
+            [ ("defined", defined); ("inline", inline) ])
+        [ "a"; "^"; "]"; "\\"; "!"; "-"; "z"; "b"; "," ])
+    [ {|!x{[\^a]}|}; {|!x{[\]a]}|}; {|!x{[\\a]}|}; {|!x{[!\-z]}|} ]
+
 let registry_docs () =
   let r = registry () in
   let bytes, _nodes = Registry.load_doc r ~store:"s" ~doc:"d" ~text:"abab" in
@@ -659,6 +682,8 @@ let () =
       ( "registry",
         [
           tc "define and plan cache" `Quick registry_define_and_plan;
+          tc "class bodies survive normalization" `Quick
+            registry_class_bodies_survive_normalization;
           tc "stores and doc cache" `Quick registry_docs;
           tc "load_path bumps generation" `Quick registry_load_path_generation;
           tc "native compressed-domain cursor" `Quick registry_native_cursor;
