@@ -48,11 +48,16 @@ let read_document doc file =
   | Some _, Some _ -> usage "give either DOC or --file, not both"
   | None, None -> usage "missing document: give DOC or --file"
 
-let parse_formula s =
-  try Regex_formula.parse s
-  with Spanner_fa.Regex.Parse_error (msg, pos) ->
-    Printf.eprintf "parse error at offset %d: %s\n" pos msg;
-    exit 2
+(* One shared-store database of the files, each its own document. *)
+let db_of_files files =
+  let db = Doc_db.create () in
+  List.iter
+    (fun file ->
+      let doc = read_file file in
+      if String.length doc = 0 then usage (file ^ ": SLPs derive non-empty documents");
+      ignore (Doc_db.add_string db file doc))
+    files;
+  db
 
 (* ------------------------------------------------------------------ *)
 (* Streamed rendering (shared by eval/batch/edit).
@@ -67,6 +72,26 @@ let restrict cursor ~offset ~limit =
   if offset > 0 then Cursor.drop cursor offset;
   match limit with Some k -> Cursor.take cursor k | None -> cursor
 
+(* The streamed formats, every line after [prefix]; returns the number
+   of tuples printed or counted. *)
+let stream_lines ~prefix cursor = function
+  | `Count ->
+      let k = Cursor.cardinal cursor in
+      Format.printf "%s%d@." prefix k;
+      k
+  | `Tuples ->
+      Cursor.fold cursor 0 (fun k t ->
+          Format.printf "%s%a@." prefix Span_tuple.pp t;
+          k + 1)
+  | `First -> (
+      match Cursor.next cursor with
+      | Some t ->
+          Format.printf "%s%a@." prefix Span_tuple.pp t;
+          1
+      | None ->
+          Format.printf "%s(no tuples)@." prefix;
+          0)
+
 let render ?doc cursor ~offset ~limit ~format =
   let cursor = restrict cursor ~offset ~limit in
   match format with
@@ -76,29 +101,62 @@ let render ?doc cursor ~offset ~limit ~format =
       | Some d -> Format.printf "%a" (Span_relation.pp ~doc:d) relation
       | None -> Format.printf "%a" (Span_relation.pp ?doc:None) relation);
       Format.printf "%d tuple(s)@." (Span_relation.cardinal relation)
-  | `Tuples -> Cursor.iter cursor (fun t -> Format.printf "%a@." Span_tuple.pp t)
-  | `Count -> Format.printf "%d@." (Cursor.cardinal cursor)
-  | `First -> (
-      match Cursor.next cursor with
-      | Some t -> Format.printf "%a@." Span_tuple.pp t
-      | None -> Format.printf "(no tuples)@.")
+  | (`Tuples | `Count | `First) as f -> ignore (stream_lines ~prefix:"" cursor f)
+
+let error_message = function
+  | Limits.Spanner_error err -> Limits.to_string err
+  | e -> Printexc.to_string e
+
+(* One document's lines in a batch ([batch], [query -f ...]): [lines]
+   prints them and returns the document's tuple count.  A failing
+   document costs only its own line; the `Table footer sums the rest. *)
+let report_documents ~format ndocs docs =
+  let total = ref 0 and failed = ref 0 in
+  List.iter
+    (fun (file, lines) ->
+      match lines () with
+      | k -> total := !total + k
+      | exception e ->
+          incr failed;
+          Printf.eprintf "%s: %s\n%!" file (error_message e))
+    docs;
+  (match format with
+  | `Table ->
+      if !failed = 0 then Format.printf "%d document(s), %d tuple(s) total@." ndocs !total
+      else Format.printf "%d document(s), %d failed, %d tuple(s) total@." ndocs !failed !total
+  | _ -> ());
+  if !failed > 0 then exit 1
+
+(* A materialised document's line. *)
+let relation_lines file = function
+  | Error e -> raise e
+  | Ok relation ->
+      let k = Span_relation.cardinal relation in
+      Format.printf "%s: %d tuple(s)@." file k;
+      k
+
+(* A streamed document's lines, through --offset/--limit/--format. *)
+let cursor_lines file c ~offset ~limit ~format =
+  let c = restrict c ~offset ~limit in
+  match format with
+  | `Table ->
+      let k = Cursor.cardinal c in
+      Format.printf "%s: %d tuple(s)@." file k;
+      k
+  | (`Tuples | `Count | `First) as f -> stream_lines ~prefix:(file ^ ": ") c f
 
 (* ------------------------------------------------------------------ *)
 (* eval *)
 
 let eval_cmd formula doc file contents limits offset limit format =
   let document = read_document doc file in
-  let ct = Compiled.of_formula ~limits (parse_formula formula) in
+  let ct = Compiled.of_formula ~limits (Regex_formula.parse formula) in
   let plan = Plan.make ct (Plan.Doc document) in
   let cursor = Plan.cursor ~limits plan in
   render ?doc:(if contents then Some document else None) cursor ~offset ~limit ~format
 
 (* ------------------------------------------------------------------ *)
 (* batch *)
-
-let error_message = function
-  | Limits.Spanner_error err -> Limits.to_string err
-  | e -> Printexc.to_string e
 
 let batch_cmd formula store files jobs engine limits offset limit format =
   if store = None && files = [] then
@@ -109,7 +167,7 @@ let batch_cmd formula store files jobs engine limits offset limit format =
   (* Compilation failures (e.g. the state cap) abort the whole batch:
      with no compiled spanner there is nothing to degrade to.  Per-
      document failures below only cost their own slot. *)
-  let ct = Compiled.of_formula ~limits (parse_formula formula) in
+  let ct = Compiled.of_formula ~limits (Regex_formula.parse formula) in
   Format.printf "compiled: %d states, %d byte classes, %d marker-set labels@."
     (Compiled.states ct) (Compiled.classes ct) (Compiled.alphabet ct);
   let plan =
@@ -136,14 +194,7 @@ let batch_cmd formula store files jobs engine limits offset limit format =
             (* Compress the files into one shared-store database, then
                evaluate in the compressed domain (or decompress from a
                frozen snapshot, for comparison). *)
-            let db = Doc_db.create () in
-            List.iter
-              (fun file ->
-                let doc = read_file file in
-                if String.length doc = 0 then
-                  usage (file ^ ": SLPs derive non-empty documents");
-                ignore (Doc_db.add_string db file doc))
-              files;
+            let db = db_of_files files in
             Format.printf "slp: %d shared nodes for %d bytes@."
               (Doc_db.compressed_size db) (Doc_db.total_len db);
             Plan.make ~force:e ct (Plan.Db db))
@@ -158,66 +209,22 @@ let batch_cmd formula store files jobs engine limits offset limit format =
   (match Pool.env_jobs () with
   | Some _ -> Format.printf "jobs: %d (SPANNER_JOBS)@." (Pool.effective_jobs ?jobs ndocs)
   | None -> ());
-  let total = ref 0 in
-  let failed = ref 0 in
-  (match (format, limit, offset) with
-  | `Table, None, 0 ->
-      (* no streaming flags: the parallel materialising path, output
-         identical to the pre-planner batch *)
-      Array.iter
-        (fun (file, result) ->
-          match result with
-          | Ok relation ->
-              let k = Span_relation.cardinal relation in
-              total := !total + k;
-              Format.printf "%s: %d tuple(s)@." file k
-          | Error e ->
-              incr failed;
-              Printf.eprintf "%s: %s\n%!" file (error_message e))
-        (Plan.relations ?jobs ~limits plan)
-  | _ ->
-      (* streaming flags: sequential per-document streams, early-
-         terminating — no tuple beyond the window is enumerated *)
-      Array.iter
-        (fun (file, slot) ->
-          match
-            match slot with
-            | Error e -> raise e
-            | Ok c -> (
-                let c = restrict c ~offset ~limit in
-                match format with
-                | `Table ->
-                    let k = Cursor.cardinal c in
-                    total := !total + k;
-                    Format.printf "%s: %d tuple(s)@." file k
-                | `Count ->
-                    let k = Cursor.cardinal c in
-                    total := !total + k;
-                    Format.printf "%s: %d@." file k
-                | `Tuples ->
-                    Cursor.iter c (fun t ->
-                        incr total;
-                        Format.printf "%s: %a@." file Span_tuple.pp t)
-                | `First -> (
-                    match Cursor.next c with
-                    | Some t ->
-                        incr total;
-                        Format.printf "%s: %a@." file Span_tuple.pp t
-                    | None -> Format.printf "%s: (no tuples)@." file))
-          with
-          | () -> ()
-          | exception e ->
-              incr failed;
-              Printf.eprintf "%s: %s\n%!" file (error_message e))
-        (Plan.cursors ~limits plan));
-  (match format with
-  | `Table ->
-      if !failed = 0 then
-        Format.printf "%d document(s), %d tuple(s) total@." ndocs !total
-      else
-        Format.printf "%d document(s), %d failed, %d tuple(s) total@." ndocs !failed !total
-  | _ -> ());
-  if !failed > 0 then exit 1
+  report_documents ~format ndocs
+    (match (format, limit, offset) with
+    | `Table, None, 0 ->
+        (* no streaming flags: the parallel materialising path, output
+           identical to the pre-planner batch *)
+        Array.to_list (Plan.relations ?jobs ~limits plan)
+        |> List.map (fun (file, result) -> (file, fun () -> relation_lines file result))
+    | _ ->
+        (* streaming flags: sequential per-document streams, early-
+           terminating — no tuple beyond the window is enumerated *)
+        Array.to_list (Plan.cursors ~limits plan)
+        |> List.map (fun (file, slot) ->
+               ( file,
+                 fun () ->
+                   let c = Result.fold ~ok:Fun.id ~error:raise slot in
+                   cursor_lines file c ~offset ~limit ~format )))
 
 (* ------------------------------------------------------------------ *)
 (* pack *)
@@ -229,16 +236,7 @@ let pack_cmd files dbfile shards out =
     | Some _, _ :: _ -> usage "give FILEs or --db, not both"
     | Some path, [] -> Spanner_slp.Serialize.read_file path
     | None, [] -> usage "missing documents: give FILEs or --db"
-    | None, files ->
-        let db = Doc_db.create () in
-        List.iter
-          (fun file ->
-            let doc = read_file file in
-            if String.length doc = 0 then
-              usage (file ^ ": SLPs derive non-empty documents");
-            ignore (Doc_db.add_string db file doc))
-          files;
-        db
+    | None, files -> db_of_files files
   in
   let written = Corpus.pack db ~shards out in
   Format.printf "packed %d document(s), %d bytes into %d shard(s)@."
@@ -253,17 +251,20 @@ let pack_cmd files dbfile shards out =
 
 let enum_cmd formula doc file limit =
   let document = read_document doc file in
-  let prepared = Compiled.prepare (Compiled.of_formula (parse_formula formula)) document in
+  let prepared = Compiled.prepare (Compiled.of_formula (Regex_formula.parse formula)) document in
   let stats = Compiled.stats prepared in
   Format.printf "%d result(s); preprocessing: %d nodes, %d edges@."
     (Compiled.cardinal prepared) stats.Compiled.nodes stats.Compiled.edges;
   let cur = Compiled.cursor prepared in
   let rec show shown =
-    match Compiled.cursor_next cur with
-    | None -> ()
-    | Some tuple -> (
-        Format.printf "%a@." Span_tuple.pp tuple;
-        match limit with Some k when shown + 1 >= k -> () | _ -> show (shown + 1))
+    match limit with
+    | Some k when shown >= k -> ()
+    | _ -> (
+        match Compiled.cursor_next cur with
+        | None -> ()
+        | Some tuple ->
+            Format.printf "%a@." Span_tuple.pp tuple;
+            show (shown + 1))
   in
   show 0
 
@@ -274,11 +275,7 @@ let refl_cmd formula doc file contents =
   let document = read_document doc file in
   let spanner =
     try Spanner_refl.Refl_spanner.parse formula
-    with
-    | Spanner_fa.Regex.Parse_error (msg, pos) ->
-        Printf.eprintf "parse error at offset %d: %s\n" pos msg;
-        exit 2
-    | Invalid_argument msg ->
+    with Invalid_argument msg ->
         Printf.eprintf "%s\n" msg;
         exit 2
   in
@@ -291,7 +288,7 @@ let refl_cmd formula doc file contents =
 (* analyze *)
 
 let analyze_cmd formula dot =
-  let f = parse_formula formula in
+  let f = Regex_formula.parse formula in
   if dot then begin
     Format.printf "%a" Evset.pp_dot (Evset.of_formula f);
     exit 0
@@ -347,7 +344,7 @@ let slpeval_cmd formula doc file limit limits =
   if String.length document = 0 then usage "SLPs derive non-empty documents";
   let store = Slp.create_store () in
   let id = Balance.rebalance store (Builder.lz78 store document) in
-  let spanner = Evset.of_formula ~limits (parse_formula formula) in
+  let spanner = Evset.of_formula ~limits (Regex_formula.parse formula) in
   let engine = Slp_spanner.create spanner store in
   (* one gauge spans the matrix sweep and the stream: --fuel and
      --deadline-ms govern both, --max-tuples fires mid-stream *)
@@ -372,7 +369,7 @@ let edit_cmd formula doc file exprs capacity show limits offset limit format =
   let db = Spanner_slp.Doc_db.create () in
   ignore (Spanner_slp.Doc_db.add_string db "doc" document);
   let store = Spanner_slp.Doc_db.store db in
-  let ct = Compiled.of_formula ~limits (parse_formula formula) in
+  let ct = Compiled.of_formula ~limits (Regex_formula.parse formula) in
   let session = Spanner_incr.Incr.create ?cache_capacity:capacity ct db in
   (* one plan for the whole session: the designated "doc" is resolved
      at each cursor creation, so edits re-route automatically *)
@@ -445,70 +442,30 @@ let query_cmd expr doc files jobs fuse_states contents limits offset limit forma
       | None ->
           Format.printf "fused: %d automata under stream operators@."
             (Optimizer.fused_count plan));
-      let total = ref 0 in
-      let failed = ref 0 in
-      (match (Optimizer.compiled plan, format, limit, offset) with
-      | Some ct, `Table, None, 0 ->
-          (* the whole query is one automaton: reuse the planner's
-             parallel materialising batch path *)
-          Array.iter
-            (fun (file, result) ->
-              match result with
-              | Ok relation ->
-                  let k = Span_relation.cardinal relation in
-                  total := !total + k;
-                  Format.printf "%s: %d tuple(s)@." file k
-              | Error err ->
-                  incr failed;
-                  Printf.eprintf "%s: %s\n%!" file (error_message err))
-            (Plan.relations ?jobs ~limits (Plan.make ct (Plan.Docs (Array.of_list docs))))
-      | _ ->
-          (* stream operators above the fused automata: sequential
-             per-document cursors, partial failures cost their slot *)
-          List.iter
-            (fun (file, document) ->
-              match
-                let c = restrict (Optimizer.cursor ~limits plan document) ~offset ~limit in
-                match format with
-                | `Table ->
-                    let k = Cursor.cardinal c in
-                    total := !total + k;
-                    Format.printf "%s: %d tuple(s)@." file k
-                | `Count ->
-                    let k = Cursor.cardinal c in
-                    total := !total + k;
-                    Format.printf "%s: %d@." file k
-                | `Tuples ->
-                    Cursor.iter c (fun t ->
-                        incr total;
-                        Format.printf "%s: %a@." file Span_tuple.pp t)
-                | `First -> (
-                    match Cursor.next c with
-                    | Some t ->
-                        incr total;
-                        Format.printf "%s: %a@." file Span_tuple.pp t
-                    | None -> Format.printf "%s: (no tuples)@." file)
-              with
-              | () -> ()
-              | exception err ->
-                  incr failed;
-                  Printf.eprintf "%s: %s\n%!" file (error_message err))
-            docs);
-      (match format with
-      | `Table ->
-          if !failed = 0 then
-            Format.printf "%d document(s), %d tuple(s) total@." (List.length docs) !total
-          else
-            Format.printf "%d document(s), %d failed, %d tuple(s) total@."
-              (List.length docs) !failed !total
-      | _ -> ());
-      if !failed > 0 then exit 1
+      report_documents ~format (List.length docs)
+        (match (Optimizer.compiled plan, format, limit, offset) with
+        | Some ct, `Table, None, 0 ->
+            (* the whole query is one automaton: reuse the planner's
+               parallel materialising batch path *)
+            let plan = Plan.make ct (Plan.Docs (Array.of_list docs)) in
+            Array.to_list (Plan.relations ?jobs ~limits plan)
+            |> List.map (fun (file, result) -> (file, fun () -> relation_lines file result))
+        | _ ->
+            (* stream operators above the fused automata: sequential
+               per-document cursors, partial failures cost their slot *)
+            List.map
+              (fun (file, document) ->
+                ( file,
+                  fun () ->
+                    let c = Optimizer.cursor ~limits plan document in
+                    cursor_lines file c ~offset ~limit ~format ))
+              docs)
 
 (* ------------------------------------------------------------------ *)
 (* explain *)
 
 let explain_plan_cmd formula doc file slp session dbfile storefile limits =
-  let ct = Compiled.of_formula ~limits (parse_formula formula) in
+  let ct = Compiled.of_formula ~limits (Regex_formula.parse formula) in
   let plan =
     match (dbfile, storefile) with
     | Some _, Some _ -> usage "give at most one of --db, --store"
@@ -645,6 +602,9 @@ let catch f =
   try f () with
   | Usage m ->
       Printf.eprintf "usage error: %s\n" m;
+      exit 2
+  | Spanner_fa.Regex.Parse_error (msg, pos) ->
+      Printf.eprintf "parse error at offset %d: %s\n" pos msg;
       exit 2
   | Failure m ->
       Printf.eprintf "error: %s\n" m;

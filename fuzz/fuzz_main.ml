@@ -37,19 +37,49 @@ let allowed = function
   | Invalid_argument _ -> true
   | _ -> false
 
-(* [reparsed ~parse ~print s] parses [s] and checks the printing
+(* [reparsed ~parse ~print ~same s] parses [s] and checks the printing
    fixpoint print (parse (print x)) = print x: a printed form must
-   re-parse, and to a term that prints the same.  A break is a crash,
+   re-parse, to a term that prints the same and that [same] finds to
+   have the same variables and references as [x] (equal strings alone
+   miss a name that swallowed the byte after it).  A break is a crash,
    whatever the re-parse raised. *)
-let reparsed ~parse ~print s =
+let reparsed ~parse ~print ~same s =
   let x = parse s in
   let printed = print x in
-  (match print (parse printed) with
-  | again when again = printed -> ()
-  | again -> failwith (Printf.sprintf "printing is not a fixpoint: %S re-prints as %S" printed again)
+  (match parse printed with
+  | y ->
+      let again = print y in
+      if again <> printed then
+        failwith (Printf.sprintf "printing is not a fixpoint: %S re-prints as %S" printed again);
+      if not (same x y) then
+        failwith (Printf.sprintf "printed form %S re-parses with other variables" printed)
   | exception e ->
       failwith (Printf.sprintf "printed form %S does not re-parse: %s" printed (Printexc.to_string e)));
   x
+
+(* The bound (!x) and referenced (&x) names of a term, sorted. *)
+let occurrences fold =
+  let syn = Spanner_fa.Regex.names ~empty:[] ~union:( @ ) ~add:List.cons in
+  fun t ->
+    List.sort_uniq compare
+      (fold
+         {
+           syn with
+           Spanner_fa.Regex.bind = Some (fun x l -> ("!" ^ x) :: l);
+           reference = Some (fun x -> [ "&" ^ x ]);
+         }
+         t)
+
+let formula_names = occurrences Spanner_core.Regex_formula.fold
+
+let rec algebra_names = function
+  | Spanner_core.Algebra.Formula f -> [ formula_names f ]
+  | Automaton _ -> []
+  | Union (a, b) | Join (a, b) -> algebra_names a @ algebra_names b
+  | Project (v, e) | Select (v, e) ->
+      List.map Spanner_core.Variable.name (Spanner_core.Variable.Set.elements v) :: algebra_names e
+
+let same_names names x y = names x = names y
 
 (* ------------------------------------------------------------------ *)
 (* Targets *)
@@ -65,7 +95,7 @@ let targets =
         (fun s ->
           let f =
             reparsed ~parse:Spanner_core.Regex_formula.parse
-              ~print:Spanner_core.Regex_formula.to_string s
+              ~print:Spanner_core.Regex_formula.to_string ~same:(same_names formula_names) s
           in
           ignore (Spanner_core.Evset.of_formula ~limits:budget f));
     };
@@ -75,7 +105,9 @@ let targets =
       run =
         (fun s ->
           let r =
-            reparsed ~parse:Spanner_refl.Refl_regex.parse ~print:Spanner_refl.Refl_regex.to_string s
+            reparsed ~parse:Spanner_refl.Refl_regex.parse ~print:Spanner_refl.Refl_regex.to_string
+              ~same:(same_names (occurrences Spanner_refl.Refl_regex.fold))
+              s
           in
           ignore (Spanner_refl.Refl_spanner.of_regex r));
     };
@@ -98,7 +130,7 @@ let targets =
              plan, and evaluate under the budget *)
           let e =
             reparsed ~parse:(fun s -> Spanner_core.Algebra.parse s)
-              ~print:Spanner_core.Algebra.to_string s
+              ~print:Spanner_core.Algebra.to_string ~same:(same_names algebra_names) s
           in
           let plan = Spanner_engine.Optimizer.optimize ~limits:budget e in
           ignore (Spanner_engine.Optimizer.eval ~limits:budget plan "abab"));

@@ -63,39 +63,34 @@ let of_formula formula =
   | Regex_formula.Ill_formed reason -> invalid_arg ("Cfg.of_formula: ill-formed formula: " ^ reason)
   | Regex_formula.Total | Regex_formula.Schemaless -> ());
   let b = Builder.create () in
+  let rule = Builder.add_rule b in
   (* Each sub-formula becomes one nonterminal. *)
-  let rec build f =
-    let a = Builder.fresh b "f" in
-    (match f with
-    | Regex_formula.Empty -> ()
-    | Regex_formula.Epsilon -> Builder.add_rule b a []
-    | Regex_formula.Chars cs -> Builder.add_rule b a [ Term cs ]
-    | Regex_formula.Bind (x, inner) ->
-        let i = build inner in
-        Builder.add_rule b a [ Mark (Marker.Open x); Nt i; Mark (Marker.Close x) ]
-    | Regex_formula.Concat (f1, f2) ->
-        let n1 = build f1 and n2 = build f2 in
-        Builder.add_rule b a [ Nt n1; Nt n2 ]
-    | Regex_formula.Alt (f1, f2) ->
-        let n1 = build f1 and n2 = build f2 in
-        Builder.add_rule b a [ Nt n1 ];
-        Builder.add_rule b a [ Nt n2 ]
-    | Regex_formula.Star inner ->
-        let i = build inner in
-        Builder.add_rule b a [];
-        Builder.add_rule b a [ Nt i; Nt a ]
-    | Regex_formula.Plus inner ->
-        let i = build inner in
-        Builder.add_rule b a [ Nt i ];
-        Builder.add_rule b a [ Nt i; Nt a ]
-    | Regex_formula.Opt inner ->
-        let i = build inner in
-        Builder.add_rule b a [];
-        Builder.add_rule b a [ Nt i ]);
-    a
+  let wire a : nt Spanner_fa.Regex.Node.t -> unit = function
+    | Empty -> ()
+    | Epsilon -> rule a []
+    | Chars cs -> rule a [ Term cs ]
+    | Bind (x, i) ->
+        let x = Variable.of_string x in
+        rule a [ Mark (Marker.Open x); Nt i; Mark (Marker.Close x) ]
+    | Concat (n1, n2) -> rule a [ Nt n1; Nt n2 ]
+    | Alt (n1, n2) ->
+        rule a [ Nt n1 ];
+        rule a [ Nt n2 ]
+    | Star i ->
+        rule a [];
+        rule a [ Nt i; Nt a ]
+    | Plus i ->
+        rule a [ Nt i ];
+        rule a [ Nt i; Nt a ]
+    | Opt i ->
+        rule a [];
+        rule a [ Nt i ]
+    | Ref _ -> invalid_arg "Cfg.of_formula: reference"
   in
-  let s = build formula in
-  Builder.finish b ~start:s
+  let start =
+    Regex_formula.fold (Spanner_fa.Regex.walk ~fresh:(fun () -> Builder.fresh b "f") ~wire) formula ()
+  in
+  Builder.finish b ~start
 
 (* ------------------------------------------------------------------ *)
 (* Binarization                                                        *)

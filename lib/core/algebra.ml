@@ -153,15 +153,19 @@ let parse ?(load = default_load) s =
       in
       go Variable.Set.empty
   in
+  (* A literal's text, with the offset in [s] of each of its bytes and
+     of the closing quote, so that a formula error inside the literal
+     is reported where it stands in [s]. *)
   let string_lit () =
     skip_ws ();
     let start = !pos in
     if peek () <> Some '"' then err !pos "expected '\"'";
     incr pos;
-    let buf = Buffer.create 16 in
+    let buf = Buffer.create 16 and offsets = ref [] in
     let rec go () =
       if !pos >= n then err start "unterminated string literal"
-      else
+      else begin
+        offsets := !pos :: !offsets;
         match s.[!pos] with
         | '"' -> incr pos
         | '\\' ->
@@ -175,14 +179,14 @@ let parse ?(load = default_load) s =
             Buffer.add_char buf c;
             incr pos;
             go ()
+      end
     in
     go ();
-    (start + 1, Buffer.contents buf)
+    (Array.of_list (List.rev !offsets), Buffer.contents buf)
   in
-  let formula_of ~what lit_start text =
+  let formula_of ~what ~at text =
     try Formula (Regex_formula.parse text)
-    with Spanner_fa.Regex.Parse_error (msg, p) ->
-      Limits.parse_error ~what ~pos:(lit_start + p) msg
+    with Spanner_fa.Regex.Parse_error (msg, p) -> Limits.parse_error ~what ~pos:(at p) msg
   in
   let rec expr d =
     if d > max_depth then err !pos "expression nested too deeply";
@@ -207,13 +211,14 @@ let parse ?(load = default_load) s =
     skip_ws ();
     if looking_at "rgx:" then begin
       pos := !pos + 4;
-      let lit_start, text = string_lit () in
-      formula_of ~what:"algebra formula" lit_start text
+      let offsets, text = string_lit () in
+      formula_of ~what:"algebra formula" ~at:(Array.get offsets) text
     end
     else if looking_at "file:" then begin
       pos := !pos + 5;
-      let lit_start, path = string_lit () in
-      formula_of ~what:("algebra formula (" ^ path ^ ")") lit_start (load path)
+      let _, path = string_lit () in
+      (* an error in a file's formula is an offset into the file *)
+      formula_of ~what:("algebra formula (" ^ path ^ ")") ~at:Fun.id (load path)
     end
     else if looking_at "pi" then begin
       pos := !pos + 2;

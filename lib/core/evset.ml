@@ -20,6 +20,8 @@ let initial e = e.initial
 
 let is_final e q = Bitset.mem e.final_set q
 
+let has_final e set = Bitset.fold (fun q acc -> acc || is_final e q) set false
+
 let vars e = e.vars
 
 let iter_set_arcs e q f = List.iter (fun (s, dst) -> f s dst) e.set_arcs.(q)
@@ -121,20 +123,18 @@ let of_formula ?limits f = of_vset ?limits (Vset.of_formula f)
 
 let determinize ?(limits = Limits.none) e =
   let g = Limits.start limits in
-  let index = Hashtbl.create 64 in
+  let index = Bitset.Tbl.create 64 in
   let subsets = Vec.create () in
   let pending = Queue.create () in
   let intern set =
-    let k = Bitset.hash set in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt index k) in
-    match List.find_opt (fun (s, _) -> Bitset.equal s set) bucket with
-    | Some (_, q) -> q
+    match Bitset.Tbl.find_opt index set with
+    | Some q -> q
     | None ->
         (* subset construction: exponential in |e| in the worst case,
            so the state cap applies per interned subset *)
         let q = Vec.push subsets set in
         Limits.check_states g (q + 1);
-        Hashtbl.replace index k ((set, q) :: bucket);
+        Bitset.Tbl.add index set q;
         Queue.add q pending;
         q
   in
@@ -290,31 +290,18 @@ let project keep e =
   done;
   { e with set_arcs; letter_arcs; final_set; vars = keep }
 
+(* Is a final state reachable along letter arcs and the set arcs whose
+   label passes [through]? *)
+let reaches_final e ~through =
+  has_final e
+    (Bitset.close (Bitset.of_list e.n [ e.initial ]) (fun q visit ->
+         List.iter (fun (s, dst) -> if through s then visit dst) e.set_arcs.(q);
+         List.iter (fun (_, dst) -> visit dst) e.letter_arcs.(q)))
+
 (* Does some accepting run avoid every marker of [x]?  (Under the
    schemaless semantics of [27], such a run leaves [x] unbound.) *)
 let possibly_unbound e x =
-  let mentions s = Marker.Set.exists (fun m -> Variable.equal (Marker.variable m) x) s in
-  let seen = Bitset.of_list e.n [ e.initial ] in
-  let stack = ref [ e.initial ] in
-  let found = ref false in
-  while (not !found) && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        if is_final e q then found := true
-        else begin
-          let visit dst =
-            if not (Bitset.mem seen dst) then begin
-              Bitset.add seen dst;
-              stack := dst :: !stack
-            end
-          in
-          List.iter (fun (s, dst) -> if not (mentions s) then visit dst) e.set_arcs.(q);
-          List.iter (fun (_, dst) -> visit dst) e.letter_arcs.(q)
-        end
-  done;
-  !found
+  reaches_final e ~through:(Marker.Set.for_all (fun m -> not (Variable.equal (Marker.variable m) x)))
 
 (* One product in which the runs of [a] avoid all markers of [avoid_a],
    the runs of [b] avoid [avoid_b], and boundary sets agree exactly on
@@ -485,8 +472,6 @@ let letter_step e current c =
     current;
   next
 
-let has_final e set = Bitset.fold (fun q acc -> acc || is_final e q) set false
-
 let accepts_tuple e doc tuple =
   let marked = Ref_word.of_doc_tuple doc tuple in
   let _, sets = Ref_word.to_extended marked in
@@ -520,28 +505,7 @@ let nonempty_on e doc =
   current := free_boundary_step e !current;
   has_final e !current
 
-let satisfiable e =
-  let seen = Bitset.of_list e.n [ e.initial ] in
-  let stack = ref [ e.initial ] in
-  let found = ref false in
-  let visit dst =
-    if not (Bitset.mem seen dst) then begin
-      Bitset.add seen dst;
-      stack := dst :: !stack
-    end
-  in
-  while (not !found) && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        if is_final e q then found := true
-        else begin
-          List.iter (fun (_, dst) -> visit dst) e.set_arcs.(q);
-          List.iter (fun (_, dst) -> visit dst) e.letter_arcs.(q)
-        end
-  done;
-  !found
+let satisfiable e = reaches_final e ~through:(fun _ -> true)
 
 let some_witness e =
   (* BFS over (state, boundary-flag) recording parents; flag = a set
@@ -609,18 +573,9 @@ let some_witness e =
 
 (* Containment by subset simulation over canonical extended words. *)
 let contains a b =
-  let module Key = struct
-    type t = int * bool * Bitset.t
-  end in
-  let seen : (int, Key.t list) Hashtbl.t = Hashtbl.create 64 in
-  let visited ((qb, flag, set) : Key.t) =
-    let k = Bitset.hash set lxor (qb * 31) lxor if flag then 1 else 0 in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen k) in
-    if List.exists (fun (q, f, s) -> q = qb && f = flag && Bitset.equal s set) bucket then true
-    else begin
-      Hashtbl.replace seen k ((qb, flag, set) :: bucket);
-      false
-    end
+  let seen = Bitset.Tbl.create 64 in
+  let visited (qb, flag, set) =
+    Bitset.seen_pair seen ~capacity:(2 * b.n) ((2 * qb) + Bool.to_int flag) set
   in
   let start = Bitset.of_list a.n [ a.initial ] in
   let ok = ref true in
@@ -636,13 +591,7 @@ let contains a b =
       if not flag then
         List.iter
           (fun (s, dst) ->
-            let next = Bitset.create a.n in
-            Bitset.iter
-              (fun qa ->
-                List.iter
-                  (fun (s', d') -> if Marker.Set.equal s s' then Bitset.add next d')
-                  a.set_arcs.(qa))
-              set;
+            let next = boundary_step a set s in
             if not (visited (dst, true, next)) then Queue.add (dst, true, next) pending)
           b.set_arcs.(qb);
       List.iter

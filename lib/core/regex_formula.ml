@@ -42,21 +42,39 @@ let alt_list fs = List.fold_left alt Empty fs
 
 let str s = concat_list (List.map char (List.init (String.length s) (String.get s)))
 
-let rec of_regex = function
-  | Regex.Empty -> Empty
-  | Regex.Epsilon -> Epsilon
-  | Regex.Chars cs -> Chars cs
-  | Regex.Concat (a, b) -> concat (of_regex a) (of_regex b)
-  | Regex.Alt (a, b) -> alt (of_regex a) (of_regex b)
-  | Regex.Star a -> star (of_regex a)
-  | Regex.Plus a -> plus (of_regex a)
-  | Regex.Opt a -> opt (of_regex a)
+let syntax =
+  {
+    Regex.epsilon;
+    chars;
+    concat;
+    alt;
+    star;
+    plus;
+    opt;
+    bind = Some (fun x -> bind (Variable.of_string x));
+    reference = None;
+  }
 
-let rec vars = function
-  | Empty | Epsilon | Chars _ -> Variable.Set.empty
-  | Bind (x, f) -> Variable.Set.add x (vars f)
-  | Concat (a, b) | Alt (a, b) -> Variable.Set.union (vars a) (vars b)
-  | Star f | Plus f | Opt f -> vars f
+let fold (syn : _ Regex.syntax) f =
+  let rec go = function
+    | Empty -> syn.chars Charset.empty
+    | Epsilon -> syn.epsilon
+    | Chars cs -> syn.chars cs
+    | Bind (x, f) -> Option.get syn.bind (Variable.name x) (go f)
+    | Concat (a, b) -> syn.concat (go a) (go b)
+    | Alt (a, b) -> syn.alt (go a) (go b)
+    | Star f -> syn.star (go f)
+    | Plus f -> syn.plus (go f)
+    | Opt f -> syn.opt (go f)
+  in
+  go f
+
+let of_regex = Regex.fold syntax
+
+let vars =
+  fold
+    (Regex.names ~empty:Variable.Set.empty ~union:Variable.Set.union ~add:(fun x ->
+         Variable.Set.add (Variable.of_string x)))
 
 type functionality = Total | Schemaless | Ill_formed of string
 
@@ -102,50 +120,10 @@ let functionality f =
 
 let is_well_formed f = match functionality f with Ill_formed _ -> false | Total | Schemaless -> true
 
-let rec size = function
-  | Empty | Epsilon | Chars _ -> 1
-  | Bind (_, f) | Star f | Plus f | Opt f -> 1 + size f
-  | Concat (a, b) | Alt (a, b) -> 1 + size a + size b
+let size = fold Regex.sizer
 
-(* ------------------------------------------------------------------ *)
-(* Parsing: the regex grammar of Spanner_fa.Regex plus  !x{ α }        *)
+let parse = Regex.parse_with ~size syntax
 
-let parse =
-  Regex.parse_with
-    {
-      Regex.epsilon;
-      chars;
-      concat;
-      alt;
-      star;
-      plus;
-      opt;
-      size;
-      bind = Some (fun x -> bind (Variable.of_string x));
-      reference = None;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-
-let rec pp_prec prec ppf f =
-  let parens lvl body = if prec > lvl then Format.fprintf ppf "(%t)" body else body ppf in
-  match f with
-  | Empty -> Format.pp_print_string ppf "[]"
-  | Epsilon -> Format.pp_print_string ppf "()"
-  | Chars cs ->
-      (match Charset.elements cs with
-      | [ c ] ->
-          if Regex.is_meta c then Format.fprintf ppf "\\%c" c else Format.fprintf ppf "%c" c
-      | _ -> Charset.pp ppf cs)
-  | Bind (x, f) -> Format.fprintf ppf "!%a{%a}" Variable.pp x (pp_prec 0) f
-  | Alt (a, b) -> parens 0 (fun ppf -> Format.fprintf ppf "%a|%a" (pp_prec 0) a (pp_prec 0) b)
-  | Concat (a, b) ->
-      parens 1 (fun ppf -> Format.fprintf ppf "%a%a" (pp_prec 1) a (pp_prec 1) b)
-  | Star a -> parens 2 (fun ppf -> Format.fprintf ppf "%a*" (pp_prec 2) a)
-  | Plus a -> parens 2 (fun ppf -> Format.fprintf ppf "%a+" (pp_prec 2) a)
-  | Opt a -> parens 2 (fun ppf -> Format.fprintf ppf "%a?" (pp_prec 2) a)
-
-let pp ppf f = pp_prec 0 ppf f
+let pp ppf f = Regex.print ppf (fold Regex.printer f)
 
 let to_string f = Format.asprintf "%a" pp f

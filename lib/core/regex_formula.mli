@@ -42,6 +42,14 @@ val opt : t -> t
 val concat_list : t list -> t
 val alt_list : t list -> t
 
+(** [fold syn f] rebuilds [f] bottom-up through [syn]
+    ({!Spanner_fa.Regex.fold} with bindings): the printer, {!size},
+    {!vars}, the embedding into refl regexes and the automaton
+    constructions are all folds.
+    @raise Invalid_argument if [f] binds a variable and [syn.bind] is
+    [None]. *)
+val fold : 'a Spanner_fa.Regex.syntax -> t -> 'a
+
 (** [of_regex r] embeds a plain regex. *)
 val of_regex : Spanner_fa.Regex.t -> t
 

@@ -70,46 +70,17 @@ let of_formula formula =
   | Ill_formed reason -> invalid_arg ("Vset.of_formula: ill-formed formula: " ^ reason)
   | Total | Schemaless -> ());
   let b = Builder.create () in
-  let rec build f =
-    let entry = Builder.add_state b and exit_ = Builder.add_state b in
-    (match f with
-    | Regex_formula.Empty -> ()
-    | Regex_formula.Epsilon -> Builder.add_eps b entry exit_
-    | Regex_formula.Chars cs -> Builder.add_chars b entry cs exit_
-    | Regex_formula.Bind (x, inner) ->
-        let ei, xi = build inner in
-        Builder.add_mark b entry (Marker.Open x) ei;
-        Builder.add_mark b xi (Marker.Close x) exit_
-    | Regex_formula.Concat (f1, f2) ->
-        let e1, x1 = build f1 and e2, x2 = build f2 in
-        Builder.add_eps b entry e1;
-        Builder.add_eps b x1 e2;
-        Builder.add_eps b x2 exit_
-    | Regex_formula.Alt (f1, f2) ->
-        let e1, x1 = build f1 and e2, x2 = build f2 in
-        Builder.add_eps b entry e1;
-        Builder.add_eps b entry e2;
-        Builder.add_eps b x1 exit_;
-        Builder.add_eps b x2 exit_
-    | Regex_formula.Star inner ->
-        let ei, xi = build inner in
-        Builder.add_eps b entry exit_;
-        Builder.add_eps b entry ei;
-        Builder.add_eps b xi ei;
-        Builder.add_eps b xi exit_
-    | Regex_formula.Plus inner ->
-        let ei, xi = build inner in
-        Builder.add_eps b entry ei;
-        Builder.add_eps b xi ei;
-        Builder.add_eps b xi exit_
-    | Regex_formula.Opt inner ->
-        let ei, xi = build inner in
-        Builder.add_eps b entry exit_;
-        Builder.add_eps b entry ei;
-        Builder.add_eps b xi exit_);
-    (entry, exit_)
+  let mark src ~opening x dst =
+    let x = Variable.of_string x in
+    Builder.add_mark b src (if opening then Marker.Open x else Marker.Close x) dst
   in
-  let entry, exit_ = build formula in
+  let entry, exit_ =
+    Regex_formula.fold
+      (Spanner_fa.Regex.thompson
+         ~state:(fun () -> Builder.add_state b)
+         ~eps:(Builder.add_eps b) ~chars:(Builder.add_chars b) ~mark ())
+      formula ()
+  in
   Builder.finish b ~initial:entry ~finals:[ exit_ ] ~vars:(Regex_formula.vars formula)
 
 let of_regex r = of_formula (Regex_formula.of_regex r)
@@ -160,23 +131,8 @@ let project keep v =
 
 let accepts_marked v w =
   let eps_closure set =
-    let stack = ref (Bitset.elements set) in
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | q :: rest ->
-          stack := rest;
-          List.iter
-            (fun (label, dst) ->
-              if label = Eps && not (Bitset.mem set dst) then begin
-                Bitset.add set dst;
-                stack := dst :: !stack
-              end)
-            v.trans.(q);
-          loop ()
-    in
-    loop ();
-    set
+    Bitset.close set (fun q visit ->
+        List.iter (fun (label, dst) -> if label = Eps then visit dst) v.trans.(q))
   in
   let current = ref (eps_closure (Bitset.of_list v.n [ v.initial ])) in
   Array.iter
@@ -218,34 +174,8 @@ let soundness v =
      co-reachability (exact for violation *transitions* because the
      suffix discipline can only forbid, never enable). *)
   let coreach =
-    (* states from which a final state is reachable via any arcs *)
-    let preds = Array.make (max v.n 1) [] in
-    Array.iteri
-      (fun q arcs -> List.iter (fun (_, dst) -> preds.(dst) <- q :: preds.(dst)) arcs)
-      v.trans;
-    let seen = Bitset.create (max v.n 1) in
-    let stack = ref [] in
-    Bitset.iter
-      (fun q ->
-        Bitset.add seen q;
-        stack := q :: !stack)
-      v.final_set;
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | q :: rest ->
-          stack := rest;
-          List.iter
-            (fun p ->
-              if not (Bitset.mem seen p) then begin
-                Bitset.add seen p;
-                stack := p :: !stack
-              end)
-            preds.(q);
-          loop ()
-    in
-    loop ();
-    seen
+    Bitset.close (Bitset.copy v.final_set)
+      (Bitset.reverse v.n (fun q visit -> List.iter (fun (_, dst) -> visit dst) v.trans.(q)))
   in
   try
     let seen = ref Config_set.empty in

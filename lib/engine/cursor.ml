@@ -21,7 +21,7 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Constructors *)
 
-let of_fun ?(gauge = Limits.unlimited ()) ~vars pull =
+let of_fun ~gauge ~vars pull =
   {
     vars;
     gauge;
@@ -52,9 +52,9 @@ let dedup_wrap gauge pull =
   in
   fresh
 
-let of_compiled ?gauge p =
+let of_compiled ?(gauge = Limits.unlimited ()) p =
   let cur = Compiled.cursor p in
-  of_fun ?gauge ~vars:(Compiled.prepared_vars p) (fun () -> Compiled.cursor_next cur)
+  of_fun ~gauge ~vars:(Compiled.prepared_vars p) (fun () -> Compiled.cursor_next cur)
 
 (* The native engines pull their own machines directly — no effect
    handler, no fiber, no per-pull context switch.  Deduplication (only
@@ -75,7 +75,7 @@ let of_incr ?(gauge = Limits.unlimited ()) session id =
 
 let of_relation r =
   let rest = ref (Span_relation.tuples r) in
-  of_fun ~vars:(Span_relation.schema r) (fun () ->
+  of_fun ~gauge:(Limits.unlimited ()) ~vars:(Span_relation.schema r) (fun () ->
       match !rest with
       | [] -> None
       | t :: ts ->

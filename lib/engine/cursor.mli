@@ -39,11 +39,20 @@ type t
 
 (** {1 Constructors} *)
 
-(** [of_fun ?gauge ~vars pull] wraps a raw pull function ([pull ()]
+(** [of_fun ~gauge ~vars pull] wraps a raw pull function ([pull ()]
     returns the next tuple or [None] at end of stream, and must keep
-    returning [None] after that). *)
+    returning [None] after that).  Every delivered tuple is counted
+    against [gauge]: a stream operator passes its request's gauge. *)
 val of_fun :
-  ?gauge:Spanner_util.Limits.gauge -> vars:Variable.Set.t -> (unit -> Span_tuple.t option) -> t
+  gauge:Spanner_util.Limits.gauge -> vars:Variable.Set.t -> (unit -> Span_tuple.t option) -> t
+
+(** [dedup_wrap gauge pull] is [pull] under set semantics: tuples
+    already delivered are skipped.  Every pulled tuple, a skipped
+    duplicate as much as a retained one, consumes one step of [gauge],
+    since the table that remembers them is memory and work the budget
+    must see. *)
+val dedup_wrap :
+  Spanner_util.Limits.gauge -> (unit -> Span_tuple.t option) -> unit -> Span_tuple.t option
 
 (** [of_compiled ?gauge p] streams the tuples of a prepared document
     through {!Spanner_core.Compiled}'s native DAG cursor.

@@ -1,7 +1,6 @@
 open Spanner_core
 module Limits = Spanner_util.Limits
 module Strhash = Spanner_util.Strhash
-module Tuple_set = Set.Make (Span_tuple)
 
 let default_fuse_states = 4096
 
@@ -328,41 +327,15 @@ let cursor ?(limits = Limits.none) t doc =
               Some tu
           | Some _ -> pull ()
         in
-        Cursor.of_fun ~vars:node.schema pull
+        Cursor.of_fun ~gauge:g ~vars:node.schema pull
     | Stream_project (v, sub) ->
         let c = go sub in
-        let seen = ref Tuple_set.empty in
-        let rec pull () =
-          match Cursor.next c with
-          | None -> None
-          | Some tu ->
-              let tu = Span_tuple.project v tu in
-              if Tuple_set.mem tu !seen then pull ()
-              else begin
-                seen := Tuple_set.add tu !seen;
-                Some tu
-              end
-        in
-        Cursor.of_fun ~vars:node.schema pull
+        let pull () = Option.map (Span_tuple.project v) (Cursor.next c) in
+        Cursor.of_fun ~gauge:g ~vars:node.schema (Cursor.dedup_wrap g pull)
     | Stream_union (a, b, _) ->
         let ca = go a and cb = go b in
-        let seen = ref Tuple_set.empty in
-        let on_b = ref false in
-        let rec pull () =
-          let next = if !on_b then Cursor.next cb else Cursor.next ca in
-          match next with
-          | None ->
-              if !on_b then None
-              else begin
-                on_b := true;
-                pull ()
-              end
-          | Some tu when Tuple_set.mem tu !seen -> pull ()
-          | Some tu ->
-              seen := Tuple_set.add tu !seen;
-              Some tu
-        in
-        Cursor.of_fun ~vars:node.schema pull
+        let pull () = match Cursor.next ca with None -> Cursor.next cb | t -> t in
+        Cursor.of_fun ~gauge:g ~vars:node.schema (Cursor.dedup_wrap g pull)
     | Stream_join (a, b, _) ->
         (* the documented fallback: both operands stream in, the join
            itself materialises (hash join), and the result streams out *)

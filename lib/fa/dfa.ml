@@ -23,19 +23,16 @@ let accepts d w =
 
 let of_nfa nfa =
   let n = Nfa.size nfa in
-  let closure set = Nfa.eps_closure nfa set in
-  let start = closure (Bitset.of_list (max n 1) [ Nfa.initial nfa ]) in
-  let index = Hashtbl.create 64 in
+  let start = Nfa.eps_closure nfa (Bitset.of_list (max n 1) [ Nfa.initial nfa ]) in
+  let index = Bitset.Tbl.create 64 in
   let subsets = Vec.create () in
   let pending = Queue.create () in
   let state_of set =
-    let k = Bitset.hash set in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt index k) in
-    match List.find_opt (fun (s, _) -> Bitset.equal s set) bucket with
-    | Some (_, q) -> q
+    match Bitset.Tbl.find_opt index set with
+    | Some q -> q
     | None ->
         let q = Vec.push subsets set in
-        Hashtbl.replace index k ((set, q) :: bucket);
+        Bitset.Tbl.add index set q;
         Queue.add q pending;
         q
   in
@@ -49,18 +46,8 @@ let of_nfa nfa =
        transitions of the member states. *)
     let row = Array.make 256 (-1) in
     for code = 0 to 255 do
-      let c = Char.chr code in
-      let next = Bitset.create (max n 1) in
-      let nonempty = ref false in
-      Bitset.iter
-        (fun s ->
-          Nfa.iter_transitions nfa s (fun cs dst ->
-              if Charset.mem cs c then begin
-                Bitset.add next dst;
-                nonempty := true
-              end))
-        set;
-      if !nonempty then row.(code) <- state_of (closure next)
+      let next = Nfa.step nfa set (Char.chr code) in
+      if not (Bitset.is_empty next) then row.(code) <- state_of next
     done;
     (* Vec.push appends at index [q] because subsets are processed in
        allocation order... not guaranteed once the queue interleaves, so

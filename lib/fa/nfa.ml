@@ -63,43 +63,13 @@ let iter_eps a q f = List.iter f a.eps.(q)
 
 let of_regex r =
   let b = Builder.create () in
-  (* Each fragment has one entry and one exit state. *)
-  let rec build r =
-    let entry = Builder.add_state b and exit_ = Builder.add_state b in
-    (match r with
-    | Regex.Empty -> ()
-    | Regex.Epsilon -> Builder.add_eps b entry exit_
-    | Regex.Chars cs -> Builder.add_chars b entry cs exit_
-    | Regex.Concat (x, y) ->
-        let ex, xx = build x and ey, xy = build y in
-        Builder.add_eps b entry ex;
-        Builder.add_eps b xx ey;
-        Builder.add_eps b xy exit_
-    | Regex.Alt (x, y) ->
-        let ex, xx = build x and ey, xy = build y in
-        Builder.add_eps b entry ex;
-        Builder.add_eps b entry ey;
-        Builder.add_eps b xx exit_;
-        Builder.add_eps b xy exit_
-    | Regex.Star x ->
-        let ex, xx = build x in
-        Builder.add_eps b entry exit_;
-        Builder.add_eps b entry ex;
-        Builder.add_eps b xx ex;
-        Builder.add_eps b xx exit_
-    | Regex.Plus x ->
-        let ex, xx = build x in
-        Builder.add_eps b entry ex;
-        Builder.add_eps b xx ex;
-        Builder.add_eps b xx exit_
-    | Regex.Opt x ->
-        let ex, xx = build x in
-        Builder.add_eps b entry exit_;
-        Builder.add_eps b entry ex;
-        Builder.add_eps b xx exit_);
-    (entry, exit_)
+  let entry, exit_ =
+    Regex.fold
+      (Regex.thompson
+         ~state:(fun () -> Builder.add_state b)
+         ~eps:(Builder.add_eps b) ~chars:(Builder.add_chars b) ())
+      r ()
   in
-  let entry, exit_ = build r in
   Builder.finish b ~initial:entry ~finals:[ exit_ ]
 
 (* ------------------------------------------------------------------ *)
@@ -177,93 +147,30 @@ let inter a c =
 (* ------------------------------------------------------------------ *)
 (* Decision procedures                                                 *)
 
-let eps_closure a set =
-  let stack = ref (Bitset.elements set) in
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        List.iter
-          (fun dst ->
-            if not (Bitset.mem set dst) then begin
-              Bitset.add set dst;
-              stack := dst :: !stack
-            end)
-          a.eps.(q);
-        loop ()
-  in
-  loop ();
-  set
+let eps_closure a set = Bitset.close set (fun q visit -> List.iter visit a.eps.(q))
+
+let has_final a set = Bitset.fold (fun q acc -> acc || is_final a q) set false
+
+let step a set c =
+  let next = Bitset.create a.n in
+  Bitset.iter
+    (fun q -> List.iter (fun (cs, dst) -> if Charset.mem cs c then Bitset.add next dst) a.trans.(q))
+    set;
+  eps_closure a next
 
 let accepts a w =
-  let current = ref (eps_closure a (Bitset.of_list a.n [ a.initial ])) in
-  String.iter
-    (fun c ->
-      let next = Bitset.create a.n in
-      Bitset.iter
-        (fun q ->
-          List.iter (fun (cs, dst) -> if Charset.mem cs c then Bitset.add next dst) a.trans.(q))
-        !current;
-      current := eps_closure a next)
-    w;
-  Bitset.fold (fun q acc -> acc || is_final a q) !current false
+  let final = String.fold_left (step a) (eps_closure a (Bitset.of_list a.n [ a.initial ])) w in
+  has_final a final
 
-let reachable_from_initial a =
-  let seen = Bitset.of_list (max a.n 1) [ a.initial ] in
-  let stack = ref [ a.initial ] in
-  let visit dst =
-    if not (Bitset.mem seen dst) then begin
-      Bitset.add seen dst;
-      stack := dst :: !stack
-    end
-  in
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        List.iter (fun (_, dst) -> visit dst) a.trans.(q);
-        List.iter visit a.eps.(q);
-        loop ()
-  in
-  loop ();
-  seen
+let successors a q visit =
+  List.iter (fun (_, dst) -> visit dst) a.trans.(q);
+  List.iter visit a.eps.(q)
 
-let coreachable_to_final a =
-  (* Reverse reachability from final states. *)
-  let preds = Array.make (max a.n 1) [] in
-  for q = 0 to a.n - 1 do
-    List.iter (fun (_, dst) -> preds.(dst) <- q :: preds.(dst)) a.trans.(q);
-    List.iter (fun dst -> preds.(dst) <- q :: preds.(dst)) a.eps.(q)
-  done;
-  let seen = Bitset.create (max a.n 1) in
-  let stack = ref [] in
-  Bitset.iter
-    (fun q ->
-      Bitset.add seen q;
-      stack := q :: !stack)
-    a.final_set;
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        List.iter
-          (fun p ->
-            if not (Bitset.mem seen p) then begin
-              Bitset.add seen p;
-              stack := p :: !stack
-            end)
-          preds.(q);
-        loop ()
-  in
-  loop ();
-  seen
+let reachable_from_initial a = Bitset.close (Bitset.of_list (max a.n 1) [ a.initial ]) (successors a)
 
-let is_empty_lang a =
-  let reach = reachable_from_initial a in
-  not (Bitset.fold (fun q acc -> acc || is_final a q) reach false)
+let coreachable_to_final a = Bitset.close (Bitset.copy a.final_set) (Bitset.reverse a.n (successors a))
+
+let is_empty_lang a = not (has_final a (reachable_from_initial a))
 
 let shortest_word a =
   (* 0-1 BFS: ε-edges cost 0, labelled edges cost 1.  [how.(q)] records
@@ -357,19 +264,8 @@ let trim a =
    subsets of a, on the fly.  A violation is a reachable pair (qc, S)
    with qc accepting in c and S containing no accepting state of a. *)
 let contains a c =
-  let key set = Bitset.hash set in
-  let module Tbl = Hashtbl in
-  let seen : (int, (int * Bitset.t) list) Tbl.t = Tbl.create 64 in
-  let visited (qc, set) =
-    let k = key set lxor (qc * 0x9e3779b9) in
-    let bucket = Option.value ~default:[] (Tbl.find_opt seen k) in
-    if List.exists (fun (q, s) -> q = qc && Bitset.equal s set) bucket then true
-    else begin
-      Tbl.replace seen k ((qc, set) :: bucket);
-      false
-    end
-  in
-  let has_final set = Bitset.fold (fun q acc -> acc || is_final a q) set false in
+  let seen = Bitset.Tbl.create 64 in
+  let visited (qc, set) = Bitset.seen_pair seen ~capacity:c.n qc set in
   let start = eps_closure a (Bitset.of_list a.n [ a.initial ]) in
   let start_c = Bitset.of_list c.n [ c.initial ] in
   let _ = eps_closure c start_c in
@@ -378,7 +274,7 @@ let contains a c =
   Bitset.iter (fun qc -> if not (visited (qc, start)) then Queue.add (qc, start) pending) start_c;
   while !ok && not (Queue.is_empty pending) do
     let qc, set = Queue.take pending in
-    if is_final c qc && not (has_final set) then ok := false
+    if is_final c qc && not (has_final a set) then ok := false
     else
       List.iter
         (fun (cs, dst) ->
@@ -386,14 +282,7 @@ let contains a c =
              subsets, so step per character. *)
           Charset.iter
             (fun ch ->
-              let next = Bitset.create a.n in
-              Bitset.iter
-                (fun q ->
-                  List.iter
-                    (fun (cs', d') -> if Charset.mem cs' ch then Bitset.add next d')
-                    a.trans.(q))
-                set;
-              let next = eps_closure a next in
+              let next = step a set ch in
               let dst_closure = Bitset.of_list c.n [ dst ] in
               let _ = eps_closure c dst_closure in
               Bitset.iter

@@ -85,6 +85,10 @@ val inter : t -> t -> t
     in place; the argument is returned for convenience. *)
 val eps_closure : t -> Spanner_util.Bitset.t -> Spanner_util.Bitset.t
 
+(** [step n set c] is the ε-closed set of states that reading [c]
+    leads to from [set]: one step of the subset simulation. *)
+val step : t -> Spanner_util.Bitset.t -> char -> Spanner_util.Bitset.t
+
 (** [accepts n w] tests [w ∈ L(n)] by on-the-fly subset simulation,
     O(|w|·|n|). *)
 val accepts : t -> string -> bool

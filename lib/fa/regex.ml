@@ -62,11 +62,6 @@ let rec is_empty_lang = function
   | Alt (a, b) -> is_empty_lang a && is_empty_lang b
   | Plus r -> is_empty_lang r
 
-let rec size = function
-  | Empty | Epsilon | Chars _ -> 1
-  | Star r | Plus r | Opt r -> 1 + size r
-  | Concat (a, b) | Alt (a, b) -> 1 + size a + size b
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 
@@ -102,13 +97,27 @@ type 'a syntax = {
   star : 'a -> 'a;
   plus : 'a -> 'a;
   opt : 'a -> 'a;
-  size : 'a -> int;
   bind : (string -> 'a -> 'a) option;
   reference : (string -> 'a) option;
 }
 
+(* The inverse of [parse_with]: [Empty] is the empty class. *)
+let fold syn r =
+  let rec go = function
+    | Empty -> syn.chars Charset.empty
+    | Epsilon -> syn.epsilon
+    | Chars cs -> syn.chars cs
+    | Concat (a, b) -> syn.concat (go a) (go b)
+    | Alt (a, b) -> syn.alt (go a) (go b)
+    | Star a -> syn.star (go a)
+    | Plus a -> syn.plus (go a)
+    | Opt a -> syn.opt (go a)
+  in
+  go r
+
 type 'a parser_state = {
   syn : 'a syntax;
+  size : 'a -> int;
   input : string;
   mutable pos : int;
   mutable depth : int;  (* open !x{ bindings: only inside one does '}' end a term *)
@@ -125,11 +134,11 @@ let expect st c =
   | Some d when d = c -> advance st
   | _ -> fail st (Printf.sprintf "expected '%c'" c)
 
+let is_ident = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+
 let parse_ident st =
   let start = st.pos in
-  while
-    match peek st with Some ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_') -> true | _ -> false
-  do
+  while match peek st with Some c -> is_ident c | None -> false do
     advance st
   done;
   if st.pos = start then fail st "expected a variable name";
@@ -246,7 +255,7 @@ and parse_postfix st =
         if m > max_repeat || (match n with Some n -> n > max_repeat | None -> false) then
           fail st "repetition count too large";
         let units = match n with None -> m + 1 | Some n -> max n 1 in
-        if units * syn.size r > max_expansion then fail st "bounded repetition expands too far";
+        if units * st.size r > max_expansion then fail st "bounded repetition expands too far";
         let concat_list rs = List.fold_left syn.concat syn.epsilon rs in
         let repeated = concat_list (List.init m (fun _ -> r)) in
         let tail =
@@ -299,38 +308,159 @@ and parse_atom st =
       advance st;
       syn.chars (Charset.singleton c)
 
-let parse_with syn input =
-  let st = { syn; input; pos = 0; depth = 0 } in
+let parse_with ~size syn input =
+  let st = { syn; size; input; pos = 0; depth = 0 } in
   let r = parse_alt st in
   (match peek st with None -> () | Some c -> fail st (Printf.sprintf "unexpected '%c'" c));
   r
 
+(* ------------------------------------------------------------------ *)
+(* What the three grammars share, written once as [syntax] instances   *)
+
+let sizer =
+  let node1 a = 1 + a and node2 a b = 1 + a + b in
+  {
+    epsilon = 1;
+    chars = (fun _ -> 1);
+    concat = node2;
+    alt = node2;
+    star = node1;
+    plus = node1;
+    opt = node1;
+    bind = Some (fun _ a -> node1 a);
+    reference = Some (fun _ -> 1);
+  }
+
+let size = fold sizer
+
+let names ~empty ~union ~add =
+  {
+    epsilon = empty;
+    chars = (fun _ -> empty);
+    concat = union;
+    alt = union;
+    star = Fun.id;
+    plus = Fun.id;
+    opt = Fun.id;
+    bind = Some add;
+    reference = Some (fun x -> add x empty);
+  }
+
+(* A printed term is asked for its text at the precedence of its
+   context (0 under '|', 1 in a concatenation, 2 under a postfix
+   operator) and told whether an identifier byte follows it, which a
+   reference's name would swallow.  It answers whether its own text
+   starts with an identifier byte, and how to print itself. *)
+type printed = int -> bool -> bool * (Format.formatter -> unit)
+
+let printer =
+  (* [op lvl body] parenthesises [body] in a context binding tighter
+     than [lvl] *)
+  let op lvl body prec next =
+    if prec > lvl then (false, fun ppf -> Format.fprintf ppf "(%t)" (snd (body false)))
+    else body next
+  in
+  let atom lead pp : printed = fun _ _ -> (lead, pp) in
+  let postfix sym a =
+    op 2 (fun _ ->
+        let lead, pa = a 2 false in
+        (lead, fun ppf -> Format.fprintf ppf "%t%c" pa sym))
+  in
+  {
+    epsilon = atom false (fun ppf -> Format.pp_print_string ppf "()");
+    chars =
+      (fun cs ->
+        match Charset.elements cs with
+        | [ c ] when is_meta c -> atom false (fun ppf -> Format.fprintf ppf "\\%c" c)
+        | [ c ] -> atom (is_ident c) (fun ppf -> Format.pp_print_char ppf c)
+        | _ -> atom false (fun ppf -> Charset.pp ppf cs));
+    concat =
+      (fun a b ->
+        op 1 (fun next ->
+            let lead_b, pb = b 1 next in
+            let lead, pa = a 1 lead_b in
+            (lead, fun ppf -> Format.fprintf ppf "%t%t" pa pb)));
+    alt =
+      (fun a b ->
+        op 0 (fun next ->
+            let lead, pa = a 0 false and _, pb = b 0 next in
+            (lead, fun ppf -> Format.fprintf ppf "%t|%t" pa pb)));
+    star = postfix '*';
+    plus = postfix '+';
+    opt = postfix '?';
+    bind =
+      Some (fun x a -> atom false (fun ppf -> Format.fprintf ppf "!%s{%t}" x (snd (a 0 false))));
+    reference =
+      Some (fun x _ next -> (false, fun ppf -> Format.fprintf ppf (if next then "(&%s)" else "&%s") x));
+  }
+
+let print ppf (p : printed) = snd (p 0 false) ppf
+
+module Node = struct
+  type 'h t =
+    | Empty
+    | Epsilon
+    | Chars of Charset.t
+    | Concat of 'h * 'h
+    | Alt of 'h * 'h
+    | Star of 'h
+    | Plus of 'h
+    | Opt of 'h
+    | Bind of string * 'h
+    | Ref of string
+end
+
+let walk ~fresh ~wire =
+  let node shape () =
+    let h = fresh () in
+    wire h (shape ());
+    h
+  in
+  let node2 shape a b =
+    node (fun () ->
+        let a = a () in
+        shape a (b ()))
+  in
+  {
+    epsilon = node (fun () -> Node.Epsilon);
+    chars = (fun cs -> node (fun () -> if Charset.is_empty cs then Node.Empty else Node.Chars cs));
+    concat = node2 (fun a b -> Node.Concat (a, b));
+    alt = node2 (fun a b -> Node.Alt (a, b));
+    star = (fun a -> node (fun () -> Node.Star (a ())));
+    plus = (fun a -> node (fun () -> Node.Plus (a ())));
+    opt = (fun a -> node (fun () -> Node.Opt (a ())));
+    bind = Some (fun x a -> node (fun () -> Node.Bind (x, a ())));
+    reference = Some (fun x -> node (fun () -> Node.Ref x));
+  }
+
+let thompson ~state ~eps ~chars ?mark ?reference () =
+  let fresh () =
+    let entry = state () in
+    (entry, state ())
+  in
+  let arcs = List.iter (fun (src, dst) -> eps src dst) in
+  walk ~fresh ~wire:(fun (entry, exit_) -> function
+    | Node.Empty -> ()
+    | Epsilon -> eps entry exit_
+    | Chars cs -> chars entry cs exit_
+    | Concat ((e1, x1), (e2, x2)) -> arcs [ (entry, e1); (x1, e2); (x2, exit_) ]
+    | Alt ((e1, x1), (e2, x2)) -> arcs [ (entry, e1); (entry, e2); (x1, exit_); (x2, exit_) ]
+    | Star (ei, xi) -> arcs [ (entry, exit_); (entry, ei); (xi, ei); (xi, exit_) ]
+    | Plus (ei, xi) -> arcs [ (entry, ei); (xi, ei); (xi, exit_) ]
+    | Opt (ei, xi) -> arcs [ (entry, exit_); (entry, ei); (xi, exit_) ]
+    | Bind (x, (ei, xi)) ->
+        let mark = Option.get mark in
+        mark entry ~opening:true x ei;
+        mark xi ~opening:false x exit_
+    | Ref x -> Option.get reference entry x exit_)
+
 let parse =
-  parse_with
-    { epsilon; chars; concat; alt; star; plus; opt; size; bind = None; reference = None }
+  parse_with ~size
+    { epsilon; chars; concat; alt; star; plus; opt; bind = None; reference = None }
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
-let rec pp_prec prec ppf r =
-  let parens lvl body =
-    if prec > lvl then Format.fprintf ppf "(%t)" body else body ppf
-  in
-  match r with
-  | Empty -> Format.pp_print_string ppf "[]"
-  | Epsilon -> Format.pp_print_string ppf "()"
-  | Chars cs ->
-      (match Charset.elements cs with
-      | [ c ] when not (Charset.equal cs Charset.full) ->
-          if is_meta c then Format.fprintf ppf "\\%c" c else Format.fprintf ppf "%c" c
-      | _ -> Charset.pp ppf cs)
-  | Alt (a, b) -> parens 0 (fun ppf -> Format.fprintf ppf "%a|%a" (pp_prec 0) a (pp_prec 0) b)
-  | Concat (a, b) ->
-      parens 1 (fun ppf -> Format.fprintf ppf "%a%a" (pp_prec 1) a (pp_prec 1) b)
-  | Star a -> parens 2 (fun ppf -> Format.fprintf ppf "%a*" (pp_prec 2) a)
-  | Plus a -> parens 2 (fun ppf -> Format.fprintf ppf "%a+" (pp_prec 2) a)
-  | Opt a -> parens 2 (fun ppf -> Format.fprintf ppf "%a?" (pp_prec 2) a)
-
-let pp ppf r = pp_prec 0 ppf r
+let pp ppf r = print ppf (fold printer r)
 
 let to_string r = Format.asprintf "%a" pp r

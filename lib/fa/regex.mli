@@ -101,8 +101,7 @@ val parse : string -> t
     ({!Spanner_refl.Refl_regex}) share this grammar — classes, bounded
     repetition, postfix operators, atoms — and add atoms of their own.
     A ['a syntax] names the AST builders of one grammar: its smart
-    constructors, its node count (for the repetition caps), and the two
-    optional atoms
+    constructors and the two optional atoms
 
     {v
       '!' x '{' r '}'   binding of variable x (when [bind] is given)
@@ -121,16 +120,82 @@ type 'a syntax = {
   star : 'a -> 'a;
   plus : 'a -> 'a;
   opt : 'a -> 'a;
-  size : 'a -> int;
   bind : (string -> 'a -> 'a) option;
   reference : (string -> 'a) option;
 }
 
-(** [parse_with syn s] parses [s] into [syn]'s AST.  {!parse} is
+(** [parse_with ~size syn s] parses [s] into [syn]'s AST; [size] counts
+    a subterm's nodes for the repetition caps.  {!parse} is
     [parse_with] over this module's constructors, with neither
     extension.
     @raise Parse_error on malformed input. *)
-val parse_with : 'a syntax -> string -> 'a
+val parse_with : size:('a -> int) -> 'a syntax -> string -> 'a
+
+(** [fold syn r] rebuilds [r] bottom-up through [syn], the inverse of
+    {!parse_with}; [Empty] is [syn.chars Charset.empty].  The other two
+    families have the same fold, so the instances below serve all
+    three.  Siblings are folded in unspecified order: the constructions
+    delay their effects into thunks, which run left to right. *)
+val fold : 'a syntax -> t -> 'a
+
+(** {1 Instances shared by the three families} *)
+
+(** [sizer] counts AST nodes; [size] is [fold sizer]. *)
+val sizer : int syntax
+
+(** [names ~empty ~union ~add] collects the bound and referenced
+    variable names into a set: a reference to [x] is [add x empty]. *)
+val names : empty:'s -> union:('s -> 's -> 's) -> add:(string -> 's -> 's) -> 's syntax
+
+(** A term folded for printing; see {!printer}. *)
+type printed
+
+(** [printer] renders terms in the concrete syntax, with the fewest
+    parentheses the precedences need.  A reference that an identifier
+    byte follows is printed as [(&x)], so the name cannot swallow the
+    byte on re-parse. *)
+val printer : printed syntax
+
+(** [print ppf p] prints a folded term. *)
+val print : Format.formatter -> printed -> unit
+
+(** One node of a term under construction, its children already built
+    into handles ['h].  A class that is empty arrives as [Empty]. *)
+module Node : sig
+  type 'h t =
+    | Empty
+    | Epsilon
+    | Chars of Charset.t
+    | Concat of 'h * 'h
+    | Alt of 'h * 'h
+    | Star of 'h
+    | Plus of 'h
+    | Opt of 'h
+    | Bind of string * 'h
+    | Ref of string
+end
+
+(** [walk ~fresh ~wire] is a construction in thunks: each node
+    allocates its handle with [fresh] before its children's, builds them
+    left to right, then [wire]s itself to them.  Running the folded
+    thunk returns the root's handle. *)
+val walk : fresh:(unit -> 'h) -> wire:('h -> 'h Node.t -> unit) -> (unit -> 'h) syntax
+
+(** [thompson ~state ~eps ~chars ?mark ?reference ()] is the Thompson
+    construction over an automaton's builder: a {!walk} whose handles
+    are (entry, exit) pairs of [state]s, wired by [eps], [chars] (never
+    given an empty class), [mark] (a binding's two marker arcs) and
+    [reference] arcs.
+    @raise Invalid_argument on a binding without [mark] or a reference
+    without [reference]. *)
+val thompson :
+  state:(unit -> int) ->
+  eps:(int -> int -> unit) ->
+  chars:(int -> Charset.t -> int -> unit) ->
+  ?mark:(int -> opening:bool -> string -> int -> unit) ->
+  ?reference:(int -> string -> int -> unit) ->
+  unit ->
+  (unit -> int * int) syntax
 
 (** [pp ppf r] prints a parseable rendering of [r]. *)
 val pp : Format.formatter -> t -> unit

@@ -48,100 +48,32 @@ let iter_transitions a q f = List.iter (fun (label, dst) -> f label dst) a.trans
 
 let of_regex r =
   let b = Builder.create () in
-  let rec build r =
-    let entry = Builder.add_state b and exit_ = Builder.add_state b in
-    (match r with
-    | Refl_regex.Empty -> ()
-    | Refl_regex.Epsilon -> Builder.add b entry Eps exit_
-    | Refl_regex.Chars cs -> Builder.add b entry (Chars cs) exit_
-    | Refl_regex.Ref x -> Builder.add b entry (Ref x) exit_
-    | Refl_regex.Bind (x, inner) ->
-        let ei, xi = build inner in
-        Builder.add b entry (Mark (Marker.Open x)) ei;
-        Builder.add b xi (Mark (Marker.Close x)) exit_
-    | Refl_regex.Concat (r1, r2) ->
-        let e1, x1 = build r1 and e2, x2 = build r2 in
-        Builder.add b entry Eps e1;
-        Builder.add b x1 Eps e2;
-        Builder.add b x2 Eps exit_
-    | Refl_regex.Alt (r1, r2) ->
-        let e1, x1 = build r1 and e2, x2 = build r2 in
-        Builder.add b entry Eps e1;
-        Builder.add b entry Eps e2;
-        Builder.add b x1 Eps exit_;
-        Builder.add b x2 Eps exit_
-    | Refl_regex.Star inner ->
-        let ei, xi = build inner in
-        Builder.add b entry Eps exit_;
-        Builder.add b entry Eps ei;
-        Builder.add b xi Eps ei;
-        Builder.add b xi Eps exit_
-    | Refl_regex.Plus inner ->
-        let ei, xi = build inner in
-        Builder.add b entry Eps ei;
-        Builder.add b xi Eps ei;
-        Builder.add b xi Eps exit_
-    | Refl_regex.Opt inner ->
-        let ei, xi = build inner in
-        Builder.add b entry Eps exit_;
-        Builder.add b entry Eps ei;
-        Builder.add b xi Eps exit_);
-    (entry, exit_)
+  let arc label src dst = Builder.add b src label dst in
+  let mark src ~opening x dst =
+    let x = Variable.of_string x in
+    arc (Mark (if opening then Marker.Open x else Marker.Close x)) src dst
   in
-  let entry, exit_ = build r in
+  let entry, exit_ =
+    Refl_regex.fold
+      (Spanner_fa.Regex.thompson
+         ~state:(fun () -> Builder.add_state b)
+         ~eps:(arc Eps)
+         ~chars:(fun src cs -> arc (Chars cs) src)
+         ~mark
+         ~reference:(fun src x -> arc (Ref (Variable.of_string x)) src)
+         ())
+      r ()
+  in
   Builder.finish b ~initial:entry ~finals:[ exit_ ] ~vars:(Refl_regex.vars r)
 
 (* ------------------------------------------------------------------ *)
 (* Reachability helpers                                                *)
 
-let coreachable a =
-  let preds = Array.make (max a.n 1) [] in
-  Array.iteri
-    (fun q arcs -> List.iter (fun (_, dst) -> preds.(dst) <- q :: preds.(dst)) arcs)
-    a.trans;
-  let seen = Bitset.create (max a.n 1) in
-  let stack = ref [] in
-  Bitset.iter
-    (fun q ->
-      Bitset.add seen q;
-      stack := q :: !stack)
-    a.final_set;
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        List.iter
-          (fun p ->
-            if not (Bitset.mem seen p) then begin
-              Bitset.add seen p;
-              stack := p :: !stack
-            end)
-          preds.(q);
-        loop ()
-  in
-  loop ();
-  seen
+let successors a q visit = List.iter (fun (_, dst) -> visit dst) a.trans.(q)
 
-let reachable a =
-  let seen = Bitset.of_list (max a.n 1) [ a.initial ] in
-  let stack = ref [ a.initial ] in
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        List.iter
-          (fun (_, dst) ->
-            if not (Bitset.mem seen dst) then begin
-              Bitset.add seen dst;
-              stack := dst :: !stack
-            end)
-          a.trans.(q);
-        loop ()
-  in
-  loop ();
-  seen
+let coreachable a = Bitset.close (Bitset.copy a.final_set) (Bitset.reverse a.n (successors a))
+
+let reachable a = Bitset.close (Bitset.of_list (max a.n 1) [ a.initial ]) (successors a)
 
 let useful a = Bitset.inter (reachable a) (coreachable a)
 

@@ -38,6 +38,13 @@ val is_final : t -> state -> bool
 val vars : t -> Variable.Set.t
 val iter_transitions : t -> state -> (label -> state -> unit) -> unit
 
+(** [reachable a] is the set of states reachable from the initial
+    state, and [coreachable a] the set of states from which a final
+    state is reachable, along any arcs. *)
+val reachable : t -> Spanner_util.Bitset.t
+
+val coreachable : t -> Spanner_util.Bitset.t
+
 (** [soundness a] checks that every accepted word is a well-formed
     ref-word (marker discipline; references only after the variable's
     close marker).  [Ok ()] certifies the evaluation algorithms'

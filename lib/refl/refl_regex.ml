@@ -46,66 +46,45 @@ let alt_list rs = List.fold_left alt Empty rs
 
 let str s = concat_list (List.map char (List.init (String.length s) (String.get s)))
 
-let rec of_formula = function
-  | Regex_formula.Empty -> Empty
-  | Regex_formula.Epsilon -> Epsilon
-  | Regex_formula.Chars cs -> Chars cs
-  | Regex_formula.Bind (x, f) -> Bind (x, of_formula f)
-  | Regex_formula.Concat (a, b) -> concat (of_formula a) (of_formula b)
-  | Regex_formula.Alt (a, b) -> alt (of_formula a) (of_formula b)
-  | Regex_formula.Star f -> star (of_formula f)
-  | Regex_formula.Plus f -> plus (of_formula f)
-  | Regex_formula.Opt f -> opt (of_formula f)
+let syntax =
+  {
+    Regex.epsilon;
+    chars;
+    concat;
+    alt;
+    star;
+    plus;
+    opt;
+    bind = Some (fun x -> bind (Variable.of_string x));
+    reference = Some (fun x -> reference (Variable.of_string x));
+  }
 
-let rec vars = function
-  | Empty | Epsilon | Chars _ -> Variable.Set.empty
-  | Bind (x, r) -> Variable.Set.add x (vars r)
-  | Ref x -> Variable.Set.singleton x
-  | Concat (a, b) | Alt (a, b) -> Variable.Set.union (vars a) (vars b)
-  | Star r | Plus r | Opt r -> vars r
+let fold (syn : _ Regex.syntax) r =
+  let rec go = function
+    | Empty -> syn.chars Charset.empty
+    | Epsilon -> syn.epsilon
+    | Chars cs -> syn.chars cs
+    | Bind (x, r) -> Option.get syn.bind (Variable.name x) (go r)
+    | Ref x -> Option.get syn.reference (Variable.name x)
+    | Concat (a, b) -> syn.concat (go a) (go b)
+    | Alt (a, b) -> syn.alt (go a) (go b)
+    | Star r -> syn.star (go r)
+    | Plus r -> syn.plus (go r)
+    | Opt r -> syn.opt (go r)
+  in
+  go r
 
-let rec size = function
-  | Empty | Epsilon | Chars _ | Ref _ -> 1
-  | Bind (_, r) | Star r | Plus r | Opt r -> 1 + size r
-  | Concat (a, b) | Alt (a, b) -> 1 + size a + size b
+let of_formula = Regex_formula.fold syntax
 
-(* ------------------------------------------------------------------ *)
-(* Parser: regex-formula grammar plus [&x]                             *)
+let vars =
+  fold
+    (Regex.names ~empty:Variable.Set.empty ~union:Variable.Set.union ~add:(fun x ->
+         Variable.Set.add (Variable.of_string x)))
 
-let parse =
-  Regex.parse_with
-    {
-      Regex.epsilon;
-      chars;
-      concat;
-      alt;
-      star;
-      plus;
-      opt;
-      size;
-      bind = Some (fun x -> bind (Variable.of_string x));
-      reference = Some (fun x -> reference (Variable.of_string x));
-    }
+let size = fold Regex.sizer
 
-let rec pp_prec prec ppf r =
-  let parens lvl body = if prec > lvl then Format.fprintf ppf "(%t)" body else body ppf in
-  match r with
-  | Empty -> Format.pp_print_string ppf "[]"
-  | Epsilon -> Format.pp_print_string ppf "()"
-  | Chars cs ->
-      (match Charset.elements cs with
-      | [ c ] ->
-          if Regex.is_meta c then Format.fprintf ppf "\\%c" c else Format.fprintf ppf "%c" c
-      | _ -> Charset.pp ppf cs)
-  | Bind (x, r) -> Format.fprintf ppf "!%a{%a}" Variable.pp x (pp_prec 0) r
-  | Ref x -> Format.fprintf ppf "&%a" Variable.pp x
-  | Alt (a, b) -> parens 0 (fun ppf -> Format.fprintf ppf "%a|%a" (pp_prec 0) a (pp_prec 0) b)
-  | Concat (a, b) ->
-      parens 1 (fun ppf -> Format.fprintf ppf "%a%a" (pp_prec 1) a (pp_prec 1) b)
-  | Star a -> parens 2 (fun ppf -> Format.fprintf ppf "%a*" (pp_prec 2) a)
-  | Plus a -> parens 2 (fun ppf -> Format.fprintf ppf "%a+" (pp_prec 2) a)
-  | Opt a -> parens 2 (fun ppf -> Format.fprintf ppf "%a?" (pp_prec 2) a)
+let parse = Regex.parse_with ~size syntax
 
-let pp ppf r = pp_prec 0 ppf r
+let pp ppf r = Regex.print ppf (fold Regex.printer r)
 
 let to_string r = Format.asprintf "%a" pp r

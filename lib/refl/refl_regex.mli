@@ -38,6 +38,16 @@ val opt : t -> t
 val concat_list : t list -> t
 val alt_list : t list -> t
 
+(** [syntax] is this module's smart constructors, with both
+    extensions. *)
+val syntax : t Spanner_fa.Regex.syntax
+
+(** [fold syn r] rebuilds [r] bottom-up through [syn]
+    ({!Spanner_fa.Regex.fold} with bindings and references).
+    @raise Invalid_argument if [r] has a binding or a reference and
+    [syn] lacks that extension. *)
+val fold : 'a Spanner_fa.Regex.syntax -> t -> 'a
+
 (** [of_formula f] embeds a plain regex formula (no references). *)
 val of_formula : Regex_formula.t -> t
 

@@ -111,35 +111,7 @@ let eval_general ~stop_at_first s doc =
   let hash = Strhash.make doc in
   (* Static pruning: only explore states that can reach a final
      state. *)
-  let coreach =
-    let preds = Array.make (max (Refl_automaton.size a) 1) [] in
-    for q = 0 to Refl_automaton.size a - 1 do
-      Refl_automaton.iter_transitions a q (fun _ dst -> preds.(dst) <- q :: preds.(dst))
-    done;
-    let seen = Bitset.create (max (Refl_automaton.size a) 1) in
-    let stack = ref [] in
-    List.iter
-      (fun q ->
-        Bitset.add seen q;
-        stack := q :: !stack)
-      (Refl_automaton.finals a);
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | q :: rest ->
-          stack := rest;
-          List.iter
-            (fun p ->
-              if not (Bitset.mem seen p) then begin
-                Bitset.add seen p;
-                stack := p :: !stack
-              end)
-            preds.(q);
-          loop ()
-    in
-    loop ();
-    seen
-  in
+  let coreach = Refl_automaton.coreachable a in
   let result = ref (Span_relation.empty (Refl_automaton.vars a)) in
   let exception Done in
   let seen = ref Eval_set.empty in
@@ -189,24 +161,7 @@ let satisfiable s =
      path a well-formed ref-word, so plain reachability suffices
      (§3.3). *)
   let a = s.automaton in
-  let seen = Bitset.create (max (Refl_automaton.size a) 1) in
-  Bitset.add seen (Refl_automaton.initial a);
-  let stack = ref [ Refl_automaton.initial a ] in
-  let found = ref false in
-  while (not !found) && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        if Refl_automaton.is_final a q then found := true
-        else
-          Refl_automaton.iter_transitions a q (fun _ dst ->
-              if not (Bitset.mem seen dst) then begin
-                Bitset.add seen dst;
-                stack := dst :: !stack
-              end)
-  done;
-  !found
+  List.exists (Bitset.mem (Refl_automaton.reachable a)) (Refl_automaton.finals a)
 
 (* ------------------------------------------------------------------ *)
 (* refl → core (§3.2)                                                  *)
@@ -367,33 +322,22 @@ let of_core_formula ~formula ~selections =
       (fun best x -> if position x < position best then x else best)
       (Variable.Set.choose z) (Variable.Set.elements z)
   in
-  let rec rewrite f =
-    match f with
-    | Regex_formula.Empty -> Refl_regex.Empty
-    | Regex_formula.Epsilon -> Refl_regex.Epsilon
-    | Regex_formula.Chars cs -> Refl_regex.Chars cs
-    | Regex_formula.Bind (x, body) -> (
-        match class_of x with
-        | None -> Refl_regex.Bind (x, rewrite body)
-        | Some z ->
-            let repr = representative z in
-            if Variable.equal x repr then begin
-              let contents =
-                List.map
-                  (fun y -> Variable.Map.find y !bodies)
-                  (Variable.Set.elements z)
-              in
-              let refined = To_regex.intersection_regex contents in
-              Refl_regex.Bind (x, Refl_regex.of_formula (Regex_formula.of_regex refined))
-            end
-            else Refl_regex.Bind (x, Refl_regex.Ref repr))
-    | Regex_formula.Concat (f1, f2) -> Refl_regex.concat (rewrite f1) (rewrite f2)
-    | Regex_formula.Alt (f1, f2) -> Refl_regex.alt (rewrite f1) (rewrite f2)
-    | Regex_formula.Star f1 -> Refl_regex.star (rewrite f1)
-    | Regex_formula.Plus f1 -> Refl_regex.plus (rewrite f1)
-    | Regex_formula.Opt f1 -> Refl_regex.opt (rewrite f1)
+  let bind name body =
+    let x = Variable.of_string name in
+    match class_of x with
+    | None -> Refl_regex.Bind (x, body)
+    | Some z ->
+        let repr = representative z in
+        if Variable.equal x repr then begin
+          let contents =
+            List.map (fun y -> Variable.Map.find y !bodies) (Variable.Set.elements z)
+          in
+          let refined = To_regex.intersection_regex contents in
+          Refl_regex.Bind (x, Refl_regex.of_formula (Regex_formula.of_regex refined))
+        end
+        else Refl_regex.Bind (x, Refl_regex.Ref repr)
   in
-  of_regex (rewrite formula)
+  of_regex (Regex_formula.fold { Refl_regex.syntax with bind = Some bind } formula)
 
 (* ------------------------------------------------------------------ *)
 (* Sound containment via ref-language containment (§3.3 discussion)    *)
@@ -401,23 +345,9 @@ let of_core_formula ~formula ~selections =
 let contains_sound big small =
   let a = big.automaton and b = small.automaton in
   let eps_closure auto set =
-    let stack = ref (Bitset.elements set) in
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | q :: rest ->
-          stack := rest;
-          Refl_automaton.iter_transitions auto q (fun label dst ->
-              match label with
-              | Refl_automaton.Eps when not (Bitset.mem set dst) ->
-                  Bitset.add set dst;
-                  stack := dst :: !stack
-              | Refl_automaton.Eps | Refl_automaton.Chars _ | Refl_automaton.Mark _
-              | Refl_automaton.Ref _ -> ());
-          loop ()
-    in
-    loop ();
-    set
+    Bitset.close set (fun q visit ->
+        Refl_automaton.iter_transitions auto q (fun label dst ->
+            if label = Refl_automaton.Eps then visit dst))
   in
   let step_a set atom =
     let next = Bitset.create (Refl_automaton.size a) in
@@ -436,37 +366,13 @@ let contains_sound big small =
     Bitset.fold (fun q acc -> acc || Refl_automaton.is_final a q) set false
   in
   (* explore (state of b, subset of a) pairs *)
-  let seen : (int, (int * Bitset.t) list) Hashtbl.t = Hashtbl.create 64 in
-  let visited qb set =
-    let k = Bitset.hash set lxor (qb * 31) in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen k) in
-    if List.exists (fun (q, s) -> q = qb && Bitset.equal s set) bucket then true
-    else begin
-      Hashtbl.replace seen k ((qb, set) :: bucket);
-      false
-    end
-  in
+  let seen = Bitset.Tbl.create 64 in
+  let visited qb set = Bitset.seen_pair seen ~capacity:(Refl_automaton.size b) qb set in
   let start_a =
     eps_closure a (Bitset.of_list (Refl_automaton.size a) [ Refl_automaton.initial a ])
   in
   let start_b =
-    let s = Bitset.of_list (Refl_automaton.size b) [ Refl_automaton.initial b ] in
-    let stack = ref (Bitset.elements s) in
-    let rec loop () =
-      match !stack with
-      | [] -> ()
-      | q :: rest ->
-          stack := rest;
-          Refl_automaton.iter_transitions b q (fun label dst ->
-              match label with
-              | Refl_automaton.Eps when not (Bitset.mem s dst) ->
-                  Bitset.add s dst;
-                  stack := dst :: !stack
-              | _ -> ());
-          loop ()
-    in
-    loop ();
-    s
+    eps_closure b (Bitset.of_list (Refl_automaton.size b) [ Refl_automaton.initial b ])
   in
   let ok = ref true in
   let pending = Queue.create () in
@@ -481,22 +387,7 @@ let contains_sound big small =
           let push atom =
             let next = step_a set atom in
             (* close b-side eps from dst *)
-            let dsts = Bitset.of_list (Refl_automaton.size b) [ dst ] in
-            let stack = ref (Bitset.elements dsts) in
-            let rec loop () =
-              match !stack with
-              | [] -> ()
-              | q :: rest ->
-                  stack := rest;
-                  Refl_automaton.iter_transitions b q (fun l d ->
-                      match l with
-                      | Refl_automaton.Eps when not (Bitset.mem dsts d) ->
-                          Bitset.add dsts d;
-                          stack := d :: !stack
-                      | _ -> ());
-                  loop ()
-            in
-            loop ();
+            let dsts = eps_closure b (Bitset.of_list (Refl_automaton.size b) [ dst ]) in
             Bitset.iter (fun q -> if not (visited q next) then Queue.add (q, next) pending) dsts
           in
           match label with

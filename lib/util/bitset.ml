@@ -238,10 +238,62 @@ let choose s =
 
 let clear s = Bytes.fill s.bits 0 (Bytes.length s.bits) '\000'
 
-let hash s = Hashtbl.hash (Bytes.to_string s.bits)
+let hash s = Hashtbl.hash s.bits
 
 let key s = Bytes.to_string s.bits
 
 let compare a b =
   let c = Int.compare a.n b.n in
   if c <> 0 then c else Bytes.compare a.bits b.bits
+
+(* ------------------------------------------------------------------ *)
+(* Subset tables                                                       *)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
+let seen_pair tbl ~capacity i s =
+  let members =
+    match Tbl.find_opt tbl s with
+    | Some members -> members
+    | None ->
+        let members = create capacity in
+        Tbl.add tbl s members;
+        members
+  in
+  let seen = mem members i in
+  if not seen then add members i;
+  seen
+
+(* ------------------------------------------------------------------ *)
+(* Reachability over dense state numbers                               *)
+
+let close s succ =
+  let stack = ref (elements s) in
+  let visit q =
+    if not (mem s q) then begin
+      add s q;
+      stack := q :: !stack
+    end
+  in
+  let rec loop () =
+    match !stack with
+    | [] -> ()
+    | q :: rest ->
+        stack := rest;
+        succ q visit;
+        loop ()
+  in
+  loop ();
+  s
+
+let reverse n succ =
+  let preds = Array.make (max n 1) [] in
+  for q = 0 to n - 1 do
+    succ q (fun dst -> preds.(dst) <- q :: preds.(dst))
+  done;
+  fun q visit -> List.iter visit preds.(q)

@@ -97,6 +97,17 @@ val clear : t -> unit
 (** [hash s] is a content hash, compatible with {!equal}. *)
 val hash : t -> int
 
+(** Hashtables keyed by content: the subset tables of determinization
+    and of the on-the-fly containment checks.  A key must not be
+    mutated while it is in a table. *)
+module Tbl : Hashtbl.S with type key = t
+
+(** [seen_pair tbl ~capacity i s] tells whether the pair [(i, s)] was
+    seen before, and records it: [tbl] maps each subset [s] to the set
+    (of capacity [capacity]) of the [i] paired with it.  The visited
+    set of a product of a state with a subset. *)
+val seen_pair : t Tbl.t -> capacity:int -> int -> t -> bool
+
 (** [key s] is the canonical content key of [s]: two bitsets of equal
     capacity have equal keys iff they are {!equal}.  Intended as a
     hashtable key for interning state subsets without bucket scans. *)
@@ -104,3 +115,17 @@ val key : t -> string
 
 (** [compare a b] is a total order compatible with {!equal}. *)
 val compare : t -> t -> int
+
+(** {2 Reachability}
+
+    Graphs over the states [0..n-1] of an automaton, given as successor
+    functions: [succ q visit] calls [visit] on each successor of [q]. *)
+
+(** [close s succ] adds to [s], in place, every state reachable from a
+    member of [s] along [succ], and returns [s]. *)
+val close : t -> (int -> (int -> unit) -> unit) -> t
+
+(** [reverse n succ] is the predecessor function of [succ] over the
+    states [0..n-1], so [close finals (reverse n succ)] is the set of
+    states from which [finals] is reachable. *)
+val reverse : int -> (int -> (int -> unit) -> unit) -> int -> (int -> unit) -> unit

@@ -2,7 +2,10 @@
 
     Spanner variables and alphabet symbols are interned so the hot
     automata code manipulates integers, while all user-facing output
-    keeps the original names. *)
+    keeps the original names.
+
+    Safe across domains: {!intern} and {!find} take a lock; {!name},
+    {!count} and {!names} read without one. *)
 
 type t
 

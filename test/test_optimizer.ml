@@ -87,6 +87,21 @@ let prop_starved_guard_eq_oracle =
   QCheck2.Test.make ~name:"materialise fallback (fuse budget 1) = Algebra.eval" ~count:150
     gen_pair ~print:print_pair (fun (e, doc) -> agree ~fuse_states:1 ~sample:doc e doc)
 
+(* Under a tuple cap k, a plan that the fuse budget splits into stream
+   operators returns at most k tuples or trips the cap: the operators
+   count their output on the request's gauge. *)
+let prop_starved_tuple_cap =
+  QCheck2.Test.make ~name:"tuple cap holds above the stream operators (fuse budget 1)"
+    ~count:250
+    QCheck2.Gen.(triple gen_expr gen_doc (0 -- 4))
+    ~print:(fun (e, doc, k) -> Printf.sprintf "%s, max_tuples %d" (print_pair (e, doc)) k)
+    (fun (e, doc, k) ->
+      let limits = Limits.make ~max_tuples:k () in
+      let plan = Optimizer.optimize ~limits ~fuse_states:1 e in
+      match Cursor.to_relation (Optimizer.cursor ~limits plan doc) with
+      | r -> Span_relation.cardinal r <= k
+      | exception Limits.Spanner_error (Limits.Limit_exceeded _) -> true)
+
 (* ------------------------------------------------------------------ *)
 (* parser ∘ pp round-trip *)
 
@@ -234,6 +249,7 @@ let () =
             prop_optimized_eq_oracle;
             prop_optimized_eq_oracle_sampled;
             prop_starved_guard_eq_oracle;
+            prop_starved_tuple_cap;
             prop_rewrite_schema;
           ] );
       ("roundtrip", to_alcotest [ prop_roundtrip; prop_roundtrip_semantics ]);

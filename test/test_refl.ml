@@ -56,7 +56,13 @@ let refl_regex_parse () =
   check Alcotest.int "vars" 2 (Variable.Set.cardinal (Refl_regex.vars r));
   let printed = Refl_regex.to_string r in
   check Alcotest.string "stable print" printed (Refl_regex.to_string (Refl_regex.parse printed));
-  check Alcotest.bool "size positive" true (Refl_regex.size r > 5)
+  check Alcotest.bool "size positive" true (Refl_regex.size r > 5);
+  (* a reference followed by an identifier byte is delimited, or the
+     name would swallow the byte on re-parse *)
+  check Alcotest.string "reference boundary" "!x{a}(&x)a"
+    (Refl_regex.to_string (Refl_regex.parse "!x{a}(&x)a"));
+  check Alcotest.string "reference at a delimiter" "!x{a}&x|&x*"
+    (Refl_regex.to_string (Refl_regex.parse "!x{a}&x|&x*"))
 
 let refl_automaton_soundness () =
   let sound s = Refl_automaton.soundness (Refl_automaton.of_regex (Refl_regex.parse s)) = Ok () in

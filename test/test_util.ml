@@ -265,6 +265,30 @@ let interner_roundtrip () =
   check Alcotest.int "count" 2 (Interner.count t);
   check (Alcotest.list Alcotest.string) "names in order" [ "alpha"; "beta" ] (Interner.names t)
 
+(* Two domains intern fresh names into one interner while reading names
+   back: every name must get its own id, and that id must name it. *)
+let interner_two_domains () =
+  let t = Interner.create () in
+  let bad = Atomic.make 0 in
+  let rounds = 50 and per_round = 2000 in
+  for round = 1 to rounds do
+    let work tag () =
+      Array.init per_round (fun i ->
+          let s = Printf.sprintf "%s%d_%d" tag round i in
+          let id = Interner.intern t s in
+          if Interner.name t id <> s then Atomic.incr bad;
+          (s, id))
+    in
+    let other = Domain.spawn (work "a") in
+    let mine = work "b" () in
+    Array.iter
+      (fun (s, id) ->
+        if Interner.name t id <> s || Interner.find t s <> Some id then Atomic.incr bad)
+      (Array.append mine (Domain.join other))
+  done;
+  check Alcotest.int "inconsistent ids" 0 (Atomic.get bad);
+  check Alcotest.int "one id per name" (2 * rounds * per_round) (Interner.count t)
+
 (* ------------------------------------------------------------------ *)
 (* Lru *)
 
@@ -399,7 +423,11 @@ let () =
           tc "exhaustive small" `Quick strhash_exhaustive_small;
           tc "bounds" `Quick strhash_bounds;
         ] );
-      ("interner", [ tc "roundtrip" `Quick interner_roundtrip ]);
+      ( "interner",
+        [
+          tc "roundtrip" `Quick interner_roundtrip;
+          tc "two domains intern at once" `Quick interner_two_domains;
+        ] );
       ( "lru",
         [
           tc "basic" `Quick lru_basic;
