@@ -168,8 +168,7 @@ let batch_cmd formula store files jobs engine limits offset limit format =
      with no compiled spanner there is nothing to degrade to.  Per-
      document failures below only cost their own slot. *)
   let ct = Compiled.of_formula ~limits (Regex_formula.parse formula) in
-  Format.printf "compiled: %d states, %d byte classes, %d marker-set labels@."
-    (Compiled.states ct) (Compiled.classes ct) (Compiled.alphabet ct);
+  Format.printf "compiled: %s@." (Compiled.describe ct);
   let plan =
     match store with
     | Some path ->
@@ -350,11 +349,14 @@ let slpeval_cmd formula doc file limit limits =
      --deadline-ms govern both, --max-tuples fires mid-stream *)
   let g = Limits.start limits in
   Slp_spanner.prepare_gauge g engine id;
+  (* the count has a gauge of its own: the stream below keeps its
+     whole budget *)
+  let results = Slp_spanner.tuple_count ~limits engine id in
   Format.printf "|D| = %d, SLP nodes = %d, matrices = %d, results = %d@."
     (Slp.len store id)
     (Slp.reachable_size store id)
     (Slp_spanner.matrices_computed engine)
-    (Slp_spanner.cardinal engine id);
+    results;
   (* -n/--limit is now take on the stream — same budget taxonomy as
      --max-tuples, but a window rather than a failure *)
   let cursor = restrict (Cursor.of_slp ~gauge:g engine id) ~offset:0 ~limit in

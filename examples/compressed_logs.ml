@@ -42,7 +42,7 @@ let () =
     Slp_spanner.prepare engine id;
     Format.printf "%-14s |D| = %-7d errors = %-4d (matrices cached: %d)@." name
       (Slp.len store id)
-      (Slp_spanner.cardinal engine id)
+      (Slp_spanner.tuple_count engine id)
       (Slp_spanner.matrices_computed engine)
   in
   List.iter report (Doc_db.names db);
@@ -72,7 +72,7 @@ let () =
   Format.printf "applying CDE expression: %a@." Cde.pp edit;
   let before = Slp_spanner.matrices_computed engine in
   let patched = Cde.materialize db "night_patched" edit in
-  let patched_errors = Slp_spanner.cardinal engine patched in
+  let patched_errors = Slp_spanner.tuple_count engine patched in
   let new_matrices = Slp_spanner.matrices_computed engine - before in
   Format.printf "patched:       |D| = %-7d errors = %-4d (new matrices: %d)@."
     (Slp.len store patched) patched_errors new_matrices;

@@ -64,10 +64,10 @@ let () =
   let finder = Evset.of_formula (Regex_formula.parse "[a-z;]*!x{needle}[a-z;]*") in
   let engine = Spanner_slp.Slp_spanner.create finder store in
   Format.printf "matches without decompression: %d@."
-    (Spanner_slp.Slp_spanner.cardinal engine (Doc_db.find db "big"));
+    (Spanner_slp.Slp_spanner.tuple_count engine (Doc_db.find db "big"));
   let edited = Cde.materialize db "edited" (Cde.Copy (Cde.Doc "big", 5437, 5443, 1)) in
   Format.printf "after copy-editing: %d matches (still compressed)@."
-    (Spanner_slp.Slp_spanner.cardinal engine edited);
+    (Spanner_slp.Slp_spanner.tuple_count engine edited);
 
   heading "7. Context-free spanners: beyond regular ([31])";
   let dyck =

@@ -84,6 +84,12 @@ let same_names names x y = names x = names y
 (* ------------------------------------------------------------------ *)
 (* Targets *)
 
+(* The documents a parsed formula is evaluated on: a fixed one over
+   the target's own bytes, and the input's first bytes — the very bytes
+   its charsets name, in an order no fixed document has.  Short, so the
+   unbudgeted oracle stays cheap. *)
+let formula_docs s = [ "ab0x 9a1"; String.sub s 0 (min 12 (String.length s)) ]
+
 type target = { name : string; alphabet : string; run : string -> unit }
 
 let targets =
@@ -97,7 +103,17 @@ let targets =
             reparsed ~parse:Spanner_core.Regex_formula.parse
               ~print:Spanner_core.Regex_formula.to_string ~same:(same_names formula_names) s
           in
-          ignore (Spanner_core.Evset.of_formula ~limits:budget f));
+          (* the compiled tables — the subset construction's, or the
+             automaton as built when it trips its cap — must answer
+             like the oracle on the automaton as built *)
+          let e = Spanner_core.Evset.of_formula ~limits:budget f in
+          let ct = Spanner_core.Compiled.of_evset ~limits:budget e in
+          List.iter
+            (fun doc ->
+              let compiled = Spanner_core.Compiled.eval ~limits:budget ct doc in
+              if not (Spanner_core.Span_relation.equal compiled (Spanner_core.Evset.eval e doc))
+              then failwith (Printf.sprintf "compiled tables disagree with Evset.eval on %S" doc))
+            (formula_docs s));
     };
     {
       name = "refl";

@@ -2,13 +2,11 @@ module Bitset = Spanner_util.Bitset
 module Bitmatrix = Spanner_util.Bitmatrix
 module Vec = Spanner_util.Vec
 module Limits = Spanner_util.Limits
-module Charset = Spanner_fa.Charset
 
 (* ------------------------------------------------------------------ *)
 (* Compiled tables                                                     *)
 
 type t = {
-  source : Evset.t;
   nstates : int;
   initial : int;
   final : bool array; (* nstates *)
@@ -16,6 +14,10 @@ type t = {
   labels : Marker.Set.t array; (* label id -> marker set (non-empty) *)
   nclasses : int;
   class_of : int array; (* 256: byte -> byte class *)
+  (* The tables hold the subset construction's automaton: every tuple
+     has exactly one accepting run.  [false]: the automaton as built,
+     whose subset construction needed more states than it has. *)
+  determinized : bool;
   (* Letter arcs.  [letter_det] is the dense table (state × class ->
      target or -1) when the automaton has at most one successor per
      state and byte; otherwise [letter_off]/[letter_dst] hold the CSR
@@ -39,43 +41,10 @@ type t = {
   set_dst_bit : int array; (* 1 lsl set_dst, or empty *)
 }
 
-module Label_map = Map.Make (Marker.Set)
-
-let of_evset ?(limits = Limits.none) e =
-  let g = Limits.start limits in
-  let nstates = Evset.size e in
-  Limits.check_states g nstates;
-  (* Byte classes: bytes the spanner's charsets never separate share a
-     column of the transition table. *)
-  let charsets = ref [] in
-  for q = 0 to nstates - 1 do
-    Evset.iter_letter_arcs e q (fun cs _ -> charsets := cs :: !charsets)
-  done;
-  let class_of, nclasses = Charset.byte_classes !charsets in
-  Limits.charge g (nstates * nclasses);
-  let rep = Array.make nclasses 0 in
-  for code = 255 downto 0 do
-    rep.(class_of.(code)) <- code
-  done;
-  (* Marker-set alphabet interning. *)
-  let label_map = ref Label_map.empty in
-  let label_vec = Vec.create () in
-  let label_of s =
-    match Label_map.find_opt s !label_map with
-    | Some i -> i
-    | None ->
-        let i = Vec.push label_vec s in
-        label_map := Label_map.add s i !label_map;
-        i
-  in
-  (* Set arcs: flatten per-state lists into CSR, preserving arc order
-     (enumeration order depends on it). *)
-  let set_rows =
-    Array.init nstates (fun q ->
-        let acc = ref [] in
-        Evset.iter_set_arcs e q (fun s dst -> acc := (label_of s, dst) :: !acc);
-        List.rev !acc)
-  in
+(* The flat tables of [t] for [a]. *)
+let tables ~vars ~determinized (a : Evset.interned) =
+  let nstates = a.states and nclasses = a.nclasses in
+  let set_rows = a.set_rows and cells = a.cells in
   let set_off = Array.make (nstates + 1) 0 in
   for q = 0 to nstates - 1 do
     set_off.(q + 1) <- set_off.(q) + List.length set_rows.(q)
@@ -90,17 +59,6 @@ let of_evset ?(limits = Limits.none) e =
           set_dst.(set_off.(q) + k) <- dst)
         row)
     set_rows;
-  (* Letter arcs: one cell per (state, class); a class is in a charset
-     iff its representative byte is. *)
-  let cells = Array.make (nstates * nclasses) [] in
-  for q = 0 to nstates - 1 do
-    Evset.iter_letter_arcs e q (fun cs dst ->
-        let table = Charset.to_table cs in
-        for c = 0 to nclasses - 1 do
-          if table.(rep.(c)) then cells.((q * nclasses) + c) <- dst :: cells.((q * nclasses) + c)
-        done)
-  done;
-  let cells = Array.map (List.sort_uniq Int.compare) cells in
   let ncells = nstates * nclasses in
   let letter_off = Array.make (ncells + 1) 0 in
   for i = 0 to ncells - 1 do
@@ -118,7 +76,7 @@ let of_evset ?(limits = Limits.none) e =
   let final_mask = ref 0 in
   if small then
     for q = 0 to nstates - 1 do
-      if Evset.is_final e q then final_mask := !final_mask lor (1 lsl q)
+      if a.accepting.(q) then final_mask := !final_mask lor (1 lsl q)
     done;
   let succ_mask =
     if small then
@@ -127,14 +85,14 @@ let of_evset ?(limits = Limits.none) e =
   in
   let set_dst_bit = if small then Array.map (fun dst -> 1 lsl dst) set_dst else [||] in
   {
-    source = e;
     nstates;
-    initial = Evset.initial e;
-    final = Array.init nstates (Evset.is_final e);
-    vars = Evset.vars e;
-    labels = Vec.to_array label_vec;
+    initial = a.start;
+    final = a.accepting;
+    vars;
+    labels = a.labels;
     nclasses;
-    class_of;
+    class_of = a.class_of;
+    determinized;
     deterministic;
     letter_det;
     letter_off;
@@ -148,13 +106,33 @@ let of_evset ?(limits = Limits.none) e =
     set_dst_bit;
   }
 
+let of_evset ?(limits = Limits.none) e =
+  let g = Limits.start limits in
+  let nstates = Evset.size e in
+  Limits.check_states g nstates;
+  let as_built = Evset.intern g e in
+  let tables = tables ~vars:(Evset.vars e) in
+  (* The cap keeps the shipped automaton no larger than the one built:
+     a blow-up costs at most [nstates] subsets before falling back. *)
+  match Evset.determinize_interned g ~cap:nstates as_built with
+  | Some dfa -> tables ~determinized:true dfa
+  | None -> tables ~determinized:false as_built
+
 let of_formula ?limits f = of_evset ?limits (Evset.of_formula ?limits f)
 
-let evset ct = ct.source
 let vars ct = ct.vars
 let states ct = ct.nstates
 let classes ct = ct.nclasses
-let alphabet ct = Array.length ct.labels
+let is_deterministic ct = ct.determinized
+
+let describe ct =
+  let form =
+    if ct.determinized then "deterministic"
+    else Printf.sprintf "nondeterministic, as built: determinizing needs over %d states" ct.nstates
+  in
+  Printf.sprintf "%d states (%s), %d byte classes, %d marker-set labels" ct.nstates form
+    ct.nclasses (Array.length ct.labels)
+
 let is_letter_deterministic ct = ct.deterministic
 let initial ct = ct.initial
 let is_final_state ct q = ct.final.(q)

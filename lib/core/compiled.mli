@@ -8,6 +8,10 @@
     one-time compilation ({!of_evset}):
 
     - the marker-set alphabet is interned into dense label ids;
+    - the automaton is determinised by the subset construction, one
+      step per byte class and capped at its own state count (a
+      blow-up keeps the automaton as built; {!is_deterministic}
+      records which);
     - letter arcs become flat transition tables indexed by
       [state × byte-class] ({!Spanner_fa.Charset.byte_classes}
       collapses the 256 bytes into the few classes the spanner can
@@ -42,11 +46,28 @@ type t
 (** A compiled spanner: dense transition tables, shareable across
     domains. *)
 
-(** [of_evset ?limits e] compiles [e] once.  O(|e| · 256) — combined
-    complexity, independent of any document.  Under [limits], the
-    state count is checked against the state cap before any table is
-    allocated ({!Spanner_util.Limits.Spanner_error} with
-    [Limit_exceeded {which = States; _}] on violation). *)
+(** [of_evset ?limits e] compiles [e] once — combined complexity,
+    independent of any document.
+
+    It determinises [e] by the subset construction, one step per byte
+    class ({!Evset.intern}, then {!Evset.determinize_interned}), under
+    a cap of [Evset.size e] subsets: the deterministic
+    automaton is compiled when it has no more states than [e], so
+    every result tuple has exactly one accepting run
+    ({!is_deterministic}).  When a subset beyond the cap turns up (at
+    most [Evset.size e] subsets are built first), [e] is compiled as
+    built instead, and engines that enumerate runs rather than subsets
+    — {!Spanner_slp.Slp_spanner} and {!Spanner_incr.Incr} — keep
+    deduplicating.  Either way the compiled automaton has at most
+    [Evset.size e] states, and enumeration by {!cursor} returns the
+    same tuples in the same order.
+
+    Under [limits], [e]'s state count is checked against the state
+    cap before any table is allocated
+    ({!Spanner_util.Limits.Spanner_error} with
+    [Limit_exceeded {which = States; _}] on violation), and the table
+    and subset work draws on one gauge's fuel and deadline; those
+    trips are errors, never a fallback. *)
 val of_evset : ?limits:Spanner_util.Limits.t -> Evset.t -> t
 
 (** [of_formula ?limits f] is [of_evset ?limits (Evset.of_formula
@@ -56,17 +77,25 @@ val of_formula : ?limits:Spanner_util.Limits.t -> Regex_formula.t -> t
 
 (** {1 Compiled-table accessors (bench/CLI introspection)} *)
 
-val evset : t -> Evset.t
 val vars : t -> Variable.Set.t
 
 (** [states ct] is the number of automaton states. *)
 val states : t -> int
 
+(** [is_deterministic ct] tells whether {!of_evset}'s subset
+    construction fit under its cap, so that [ct] runs the deterministic
+    automaton and every result tuple has exactly one run; [false]
+    means the automaton as built.  O(1): recorded at compilation. *)
+val is_deterministic : t -> bool
+
+(** [describe ct] is the one-line summary that [explain], the CLI and
+    serve print: states and whether the automaton is deterministic or
+    fell back to the automaton as built, byte classes, and marker-set
+    labels. *)
+val describe : t -> string
+
 (** [classes ct] is the number of byte classes (≤ 256). *)
 val classes : t -> int
-
-(** [alphabet ct] is the number of distinct marker-set labels. *)
-val alphabet : t -> int
 
 (** [is_letter_deterministic ct] tells whether the dense single-target
     letter table is in use (at most one successor per state and byte). *)

@@ -119,105 +119,190 @@ let of_vset ?(limits = Limits.none) v =
 let of_formula ?limits f = of_vset ?limits (Vset.of_formula f)
 
 (* ------------------------------------------------------------------ *)
-(* Determinization                                                     *)
+(* Interned form and determinization                                   *)
+
+type interned = {
+  states : int;
+  start : int;
+  accepting : bool array;
+  labels : Marker.Set.t array;
+  nclasses : int;
+  class_of : int array;
+  set_rows : (int * int) list array;
+  cells : int list array;
+}
+
+module Label_map = Map.Make (Marker.Set)
+
+(* The smallest byte of each class represents it: a class is in a
+   charset iff its representative is. *)
+let representatives class_of nclasses =
+  let rep = Array.make nclasses 0 in
+  for code = 255 downto 0 do
+    rep.(class_of.(code)) <- code
+  done;
+  rep
+
+let intern g e =
+  (* Byte classes: bytes the spanner's charsets never separate share a
+     column of the transition table. *)
+  let charsets = ref [] in
+  Array.iter (List.iter (fun (cs, _) -> charsets := cs :: !charsets)) e.letter_arcs;
+  let class_of, nclasses = Charset.byte_classes !charsets in
+  Limits.charge g (e.n * nclasses);
+  let rep = representatives class_of nclasses in
+  (* Marker-set alphabet, numbered in first-seen order. *)
+  let label_map = ref Label_map.empty in
+  let label_vec = Vec.create () in
+  let label_of s =
+    match Label_map.find_opt s !label_map with
+    | Some i -> i
+    | None ->
+        let i = Vec.push label_vec s in
+        label_map := Label_map.add s i !label_map;
+        i
+  in
+  (* Set arcs in arc order (enumeration order depends on it). *)
+  let set_rows = Array.map (List.map (fun (s, dst) -> (label_of s, dst))) e.set_arcs in
+  let cells = Array.make (e.n * nclasses) [] in
+  Array.iteri
+    (fun q arcs ->
+      List.iter
+        (fun (cs, dst) ->
+          for c = 0 to nclasses - 1 do
+            if Charset.mem cs (Char.unsafe_chr rep.(c)) then
+              cells.((q * nclasses) + c) <- dst :: cells.((q * nclasses) + c)
+          done)
+        arcs)
+    e.letter_arcs;
+  {
+    states = e.n;
+    start = e.initial;
+    accepting = Array.init e.n (is_final e);
+    labels = Vec.to_array label_vec;
+    nclasses;
+    class_of;
+    set_rows;
+    cells = Array.map (List.sort_uniq Int.compare) cells;
+  }
+
+exception Cap
+
+(* Subset construction, one step per byte class, charged to [g].
+   Subsets are numbered in discovery order: a subset's set-arc targets
+   (labels in first-discovery order, states ascending), then its letter
+   targets by class in byte order.  Each new row lists its set arcs in
+   that same first-discovery order, which is the order
+   [Compiled.prepare] finds the labels of the subset on the automaton
+   as built — so the product DAG, and with it the enumeration order,
+   is the same on both.  Raises [Cap] when a subset beyond the first
+   [cap] turns up. *)
+let subset_construction g ~cap a =
+  let n = a.states and nclasses = a.nclasses in
+  let rep = representatives a.class_of nclasses in
+  let by_byte = Array.init nclasses Fun.id in
+  Array.sort (fun c c' -> Int.compare rep.(c) rep.(c')) by_byte;
+  let index = Bitset.Tbl.create 64 in
+  let subsets = Vec.create () in
+  let subset_id set =
+    match Bitset.Tbl.find_opt index set with
+    | Some d -> d
+    | None ->
+        let k = Vec.length subsets + 1 in
+        if k > cap then raise Cap;
+        (* exponential in |a| in the worst case, so the request's state
+           cap applies per subset *)
+        Limits.check_states g k;
+        let set = Bitset.copy set in
+        let d = Vec.push subsets set in
+        Bitset.Tbl.add index set d;
+        d
+  in
+  let start = Bitset.create n in
+  Bitset.add start a.start;
+  ignore (subset_id start);
+  let nlabels = max 1 (Array.length a.labels) in
+  let label_stamp = Array.make nlabels (-1) in
+  let label_tgt = Array.make nlabels (Bitset.create 0) in
+  let image = Bitset.create n in
+  let set_rows = Vec.create () and cells = Vec.create () in
+  (* subsets are expanded in the order they were numbered: row [d] is
+     the [d]-th pushed *)
+  while Vec.length set_rows < Vec.length subsets do
+    let d = Vec.length set_rows in
+    let set = Vec.get subsets d in
+    let found = ref [] in
+    Bitset.iter
+      (fun q ->
+        Limits.charge g nclasses;
+        List.iter
+          (fun (lbl, dst) ->
+            if label_stamp.(lbl) <> d then begin
+              label_stamp.(lbl) <- d;
+              label_tgt.(lbl) <- Bitset.create n;
+              found := lbl :: !found
+            end;
+            Bitset.add label_tgt.(lbl) dst)
+          a.set_rows.(q))
+      set;
+    let set_row = List.map (fun lbl -> (lbl, subset_id label_tgt.(lbl))) (List.rev !found) in
+    ignore (Vec.push set_rows set_row);
+    let letter_row = Array.make nclasses [] in
+    Array.iter
+      (fun c ->
+        Bitset.clear image;
+        Bitset.iter (fun q -> List.iter (Bitset.add image) a.cells.((q * nclasses) + c)) set;
+        if not (Bitset.is_empty image) then letter_row.(c) <- [ subset_id image ])
+      by_byte;
+    ignore (Vec.push cells letter_row)
+  done;
+  let subsets = Vec.to_array subsets in
+  let accepting set = Bitset.fold (fun q acc -> acc || a.accepting.(q)) set false in
+  {
+    a with
+    states = Array.length subsets;
+    start = 0;
+    accepting = Array.map accepting subsets;
+    set_rows = Vec.to_array set_rows;
+    cells = Array.concat (Vec.to_list cells);
+  }
+
+let determinize_interned g ~cap a =
+  match subset_construction g ~cap a with dfa -> Some dfa | exception Cap -> None
+
+(* Back from ids to labels: a state's letter arcs are its classes
+   grouped by target, one charset per target. *)
+let of_interned vars a =
+  let class_cs = Array.make a.nclasses Charset.empty in
+  Array.iteri (fun code c -> class_cs.(c) <- Charset.add class_cs.(c) (Char.chr code)) a.class_of;
+  let letter_arcs =
+    Array.init a.states (fun q ->
+        let by_dst = Hashtbl.create 8 in
+        for c = 0 to a.nclasses - 1 do
+          List.iter
+            (fun dst ->
+              let cs = Option.value (Hashtbl.find_opt by_dst dst) ~default:Charset.empty in
+              Hashtbl.replace by_dst dst (Charset.union cs class_cs.(c)))
+            a.cells.((q * a.nclasses) + c)
+        done;
+        List.sort
+          (fun (_, d) (_, d') -> Int.compare d d')
+          (Hashtbl.fold (fun dst cs acc -> (cs, dst) :: acc) by_dst []))
+  in
+  let final_set = Bitset.create a.states in
+  Array.iteri (fun q acc -> if acc then Bitset.add final_set q) a.accepting;
+  {
+    n = a.states;
+    initial = a.start;
+    final_set;
+    set_arcs = Array.map (List.map (fun (lbl, dst) -> (a.labels.(lbl), dst))) a.set_rows;
+    letter_arcs;
+    vars;
+  }
 
 let determinize ?(limits = Limits.none) e =
   let g = Limits.start limits in
-  let index = Bitset.Tbl.create 64 in
-  let subsets = Vec.create () in
-  let pending = Queue.create () in
-  let intern set =
-    match Bitset.Tbl.find_opt index set with
-    | Some q -> q
-    | None ->
-        (* subset construction: exponential in |e| in the worst case,
-           so the state cap applies per interned subset *)
-        let q = Vec.push subsets set in
-        Limits.check_states g (q + 1);
-        Bitset.Tbl.add index set q;
-        Queue.add q pending;
-        q
-  in
-  let start = Bitset.create e.n in
-  Bitset.add start e.initial;
-  let q0 = intern start in
-  let out_set = Vec.create () and out_letter = Vec.create () in
-  let ensure q =
-    while Vec.length out_set <= q do
-      ignore (Vec.push out_set []);
-      ignore (Vec.push out_letter [])
-    done
-  in
-  while not (Queue.is_empty pending) do
-    let q = Queue.take pending in
-    ensure q;
-    let set = Vec.get subsets q in
-    (* Marker-set labels: group by label. *)
-    let labels = ref [] in
-    Bitset.iter
-      (fun p ->
-        List.iter
-          (fun (s, dst) ->
-            match List.find_opt (fun (s', _) -> Marker.Set.equal s s') !labels with
-            | Some (_, tgt) -> Bitset.add tgt dst
-            | None ->
-                let tgt = Bitset.create e.n in
-                Bitset.add tgt dst;
-                labels := (s, tgt) :: !labels)
-          e.set_arcs.(p))
-      set;
-    Vec.set out_set q (List.map (fun (s, tgt) -> (s, intern tgt)) !labels);
-    (* Letter transitions: determinise per character, then merge
-       characters with equal successor subsets into charsets. *)
-    let by_char = Array.make 256 None in
-    Bitset.iter
-      (fun p ->
-        List.iter
-          (fun (cs, dst) ->
-            Charset.iter
-              (fun ch ->
-                Limits.check g;
-                let code = Char.code ch in
-                let tgt =
-                  match by_char.(code) with
-                  | Some t -> t
-                  | None ->
-                      let t = Bitset.create e.n in
-                      by_char.(code) <- Some t;
-                      t
-                in
-                Bitset.add tgt dst)
-              cs)
-          e.letter_arcs.(p))
-      set;
-    let grouped = ref [] in
-    Array.iteri
-      (fun code tgt ->
-        match tgt with
-        | None -> ()
-        | Some tgt -> (
-            let q' = intern tgt in
-            match List.assoc_opt q' !grouped with
-            | Some cs -> grouped := (q', Charset.add cs (Char.chr code)) :: List.remove_assoc q' !grouped
-            | None -> grouped := (q', Charset.singleton (Char.chr code)) :: !grouped))
-      by_char;
-    Vec.set out_letter q (List.map (fun (q', cs) -> (cs, q')) !grouped)
-  done;
-  let n = Vec.length subsets in
-  ensure (n - 1);
-  let final_set = Bitset.create (max n 1) in
-  Vec.iteri
-    (fun q set ->
-      if Bitset.fold (fun p acc -> acc || is_final e p) set false then Bitset.add final_set q)
-    subsets;
-  {
-    n = max n 1;
-    initial = q0;
-    final_set;
-    set_arcs = Vec.to_array out_set;
-    letter_arcs = Vec.to_array out_letter;
-    vars = e.vars;
-  }
+  of_interned e.vars (subset_construction g ~cap:max_int (intern g e))
 
 let is_deterministic e =
   let ok = ref true in

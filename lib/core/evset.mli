@@ -40,16 +40,57 @@ val of_formula : ?limits:Spanner_util.Limits.t -> Regex_formula.t -> t
 (** [determinize ?limits e] is the deterministic extended
     vset-automaton of [10]: for every state, at most one successor per
     marker-set label and per character.  Accepted extended words are
-    unchanged, but runs become unique per word — the property both
-    {!Compiled} and the SLP-compressed enumeration rely on for
-    duplicate-freedom.  Subset construction: worst-case exponential in
-    |e| (irrelevant in data complexity, §2.5); under [limits] each
-    interned subset counts against the state cap and transition work
-    consumes fuel. *)
+    unchanged, but runs become unique per word — the property that
+    duplicate-free enumeration over SLPs and run counting in the
+    weighted semantics rely on.  It is {!intern} followed by
+    {!determinize_interned} with no cap, the construction
+    {!Compiled.of_evset} runs on every automaton it compiles.
+    Worst-case exponential in |e| (irrelevant in data complexity,
+    §2.5); under [limits] each subset counts against the state cap and
+    the work consumes fuel. *)
 val determinize : ?limits:Spanner_util.Limits.t -> t -> t
 
 (** [is_deterministic e] checks the determinism property. *)
 val is_deterministic : t -> bool
+
+(** {1 Interned form}
+
+    The automaton over dense alphabets, as the subset construction and
+    {!Compiled.of_evset} consume it: marker-set labels numbered in the
+    order the states' set arcs first use them, and the 256 bytes
+    collapsed into the classes the letter arcs separate
+    ({!Spanner_fa.Charset.byte_classes}). *)
+
+type interned = {
+  states : int;
+  start : int;
+  accepting : bool array;  (** per state *)
+  labels : Marker.Set.t array;  (** label id → marker set *)
+  nclasses : int;
+  class_of : int array;  (** byte → class, 256 entries *)
+  set_rows : (int * int) list array;
+      (** per state, its set arcs as (label id, target) in arc order *)
+  cells : int list array;
+      (** per (state × nclasses + class), the sorted distinct letter
+          targets *)
+}
+
+(** [intern g e] is [e] over dense ids; it charges [g] one step per
+    (state, class) cell. *)
+val intern : Spanner_util.Limits.gauge -> t -> interned
+
+(** [determinize_interned g ~cap a] runs the subset construction on
+    [a], one step per byte class, and is [None] as soon as a subset
+    beyond the first [cap] turns up.  Labels and classes are [a]'s.
+    Subsets are numbered in discovery order and each one's set arcs
+    are listed in the order {!Compiled.prepare} meets their labels on
+    [a], so enumeration over both automata yields the same tuples in
+    the same order.  The work is charged to [g], and each subset is
+    checked against [g]'s state cap: fuel, deadline and [max_states]
+    trips raise {!Spanner_util.Limits.Spanner_error}, while [cap] only
+    gives [None]. *)
+val determinize_interned :
+  Spanner_util.Limits.gauge -> cap:int -> interned -> interned option
 
 (** [to_vset e] is the inverse of {!of_vset}: each set arc becomes a
     chain of marker arcs *in the canonical marker order* — this is the

@@ -27,8 +27,9 @@
     constructor pays a fiber, an effect handler, or a per-pull context
     switch; the delay between two pulls is the engine's own descent
     work, nothing more.  When the underlying automaton is
-    nondeterministic (a fact each engine computes once, at
-    construction) the stream deduplicates on the fly so streamed
+    nondeterministic (the compiled spanner fell back to the automaton
+    as built, {!Spanner_core.Compiled.is_deterministic}) the stream
+    deduplicates on the fly so streamed
     counts agree with set semantics — and the dedup table itself is
     metered: every run it absorbs consumes a gauge step, so fuel
     budgets see the memory the stream retains. *)

@@ -37,10 +37,7 @@ let sweep_threshold = 2.0
 let ratio bytes nodes = float_of_int bytes /. float_of_int (max 1 nodes)
 let pp_ratio r = Printf.sprintf "%.1fx" r
 
-let spanner_fact ct =
-  ( "spanner",
-    Printf.sprintf "%d states, %d byte classes, %d marker-set labels" (Compiled.states ct)
-      (Compiled.classes ct) (Compiled.alphabet ct) )
+let spanner_fact ct = ("spanner", Compiled.describe ct)
 
 let fits input (c : choice) =
   match (input, c) with

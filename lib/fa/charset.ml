@@ -77,14 +77,20 @@ let choose cs =
 
 let equal a b = Array.for_all2 ( = ) a b
 
-let to_table cs = Array.init 256 (fun code -> mem cs (Char.chr code))
-
-(* Successive refinement: one pass per charset, splitting every class
-   that the charset cuts (members get a fresh class id, non-members
-   keep the old one).  O(256) per charset. *)
+(* Successive refinement: one pass per distinct charset, splitting
+   every class that the charset cuts (members get a fresh class id,
+   non-members keep the old one).  O(256) per distinct charset; a
+   repeat, the empty set and the full set cut nothing, so they are
+   skipped (an automaton repeats its few charsets on many arcs). *)
 let byte_classes sets =
   let class_of = Array.make 256 0 in
   let count = ref 1 in
+  let seen = Hashtbl.create 16 in
+  let may_cut cs =
+    (not (Hashtbl.mem seen cs || is_empty cs || equal cs full))
+    && (Hashtbl.add seen cs ();
+        true)
+  in
   List.iter
     (fun cs ->
       let members = Array.make !count 0 and totals = Array.make !count 0 in
@@ -105,7 +111,7 @@ let byte_classes sets =
         (fun code c ->
           if fresh.(c) >= 0 && mem cs (Char.chr code) then class_of.(code) <- fresh.(c))
         class_of)
-    sets;
+    (List.filter may_cut sets);
   (class_of, !count)
 
 let pp ppf cs =

@@ -51,11 +51,6 @@ val choose : t -> char option
 (** [equal a b] is extensional equality. *)
 val equal : t -> t -> bool
 
-(** [to_table cs] is the dense membership table of [cs]: a 256-entry
-    array with [t.(Char.code c) = mem cs c].  Used to materialise
-    byte-indexed transition tables from charset-labelled arcs. *)
-val to_table : t -> bool array
-
 (** [byte_classes sets] partitions the 256 bytes into equivalence
     classes with respect to [sets]: two bytes land in the same class
     iff no charset of [sets] separates them.  Returns

@@ -11,7 +11,6 @@ type session = {
   ct : Compiled.t;
   db : Doc_db.t;
   cache : (Slp.id, Compiled.summary) Lru.t;
-  nondet : bool;  (* runs may repeat tuples; computed once, not per cursor *)
   ends : Spanner_util.Bitset.t;  (* states that close a run: final, or a set arc from final *)
   mutable created : int;
 }
@@ -31,7 +30,6 @@ let create ?(cache_capacity = 65536) ct db =
       ct;
       db;
       cache = Lru.create ~capacity:cache_capacity ();
-      nondet = not (Evset.is_deterministic (Compiled.evset ct));
       ends = Compiled.ending_states ct;
       created = 0;
     }
@@ -45,7 +43,7 @@ let create ?(cache_capacity = 65536) ct db =
 
 let compiled s = s.ct
 let database s = s.db
-let nondeterministic s = s.nondet
+let nondeterministic s = not (Compiled.is_deterministic s.ct)
 
 let rec summary_g g s id =
   match Lru.find s.cache id with

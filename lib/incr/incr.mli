@@ -26,9 +26,10 @@
     Evaluation enumerates runs through the summary matrices exactly
     like {!Spanner_slp.Slp_spanner} (§4.2), but over the compiled
     tables and the shared cache, with one pull machine ({!cursor}).
-    {!eval} collects its runs into a relation, so a nondeterministic
-    compiled automaton (which may yield the same tuple along several
-    runs) is handled by set semantics. *)
+    {!eval} collects its runs into a relation, so the automaton as
+    built — compiled when {!Spanner_core.Compiled.of_evset}'s subset
+    construction trips its cap, and able to yield the same tuple along
+    several runs — is handled by set semantics. *)
 
 open Spanner_core
 module Slp = Spanner_slp.Slp
@@ -60,7 +61,7 @@ val database : session -> Doc_db.t
 (** [nondeterministic s] is [true] when the compiled automaton is not
     deterministic — enumeration ({!cursor}) may then
     repeat tuples and set-semantics consumers must deduplicate.
-    Computed once at session creation. *)
+    O(1): {!Spanner_core.Compiled.is_deterministic}. *)
 val nondeterministic : session -> bool
 
 (** [summary s id] is the cached (or freshly computed and cached)

@@ -170,7 +170,7 @@ let handle_explain ctx c source =
   Printf.bprintf b "fused: %d (threshold %d states)\n" (Optimizer.fused_count plan)
     (Optimizer.threshold plan);
   (match Optimizer.compiled plan with
-  | Some ct -> Printf.bprintf b "compiled: whole query, %d states" (Compiled.states ct)
+  | Some ct -> Printf.bprintf b "compiled: whole query, %s" (Compiled.describe ct)
   | None -> Buffer.add_string b "compiled: per-node (materialised joins)");
   Protocol.write_frame_conn c (Buffer.contents b)
 

@@ -210,7 +210,10 @@ let read_reader r =
         let l = read_varint r in
         let rt = read_varint r in
         if l >= i || rt >= i then corrupt "node references a later node";
-        ids.(i) <- Slp.pair store ids.(l) ids.(rt)
+        ids.(i) <-
+          (try Slp.pair store ids.(l) ids.(rt)
+           with Limits.Spanner_error (Limits.Eval_failure _) ->
+             corruptf "node %d: derived length overflows int" i)
     | _ -> corrupt "bad node tag"
   done;
   let ndocs = read_varint r in

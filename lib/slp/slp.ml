@@ -1,5 +1,6 @@
 module Vec = Spanner_util.Vec
 module Limits = Spanner_util.Limits
+module Checked = Spanner_util.Checked
 
 type id = int
 
@@ -50,10 +51,8 @@ let pair store l r =
   | Some id -> id
   | None ->
       let cl = cell store l and cr = cell store r in
-      let id =
-        Vec.push store.cells
-          { node = Pair (l, r); len = cl.len + cr.len; order = 1 + max cl.order cr.order }
-      in
+      let len = Checked.add ~what:"document length" cl.len cr.len in
+      let id = Vec.push store.cells { node = Pair (l, r); len; order = 1 + max cl.order cr.order } in
       Hashtbl.add store.cons (l, r) id;
       notify store id;
       id

@@ -24,7 +24,9 @@ val create_store : unit -> store
 (** [leaf store c] is the (unique) leaf node for character [c]. *)
 val leaf : store -> char -> id
 
-(** [pair store l r] is the (hash-consed) node deriving 𝔇(l)·𝔇(r). *)
+(** [pair store l r] is the (hash-consed) node deriving 𝔇(l)·𝔇(r).
+    @raise Spanner_util.Limits.Spanner_error [(Eval_failure _)] when
+    |𝔇(l)| + |𝔇(r)| exceeds [max_int]; no node is created. *)
 val pair : store -> id -> id -> id
 
 (** [node store id] inspects a node. *)

@@ -16,8 +16,10 @@ let selections_hold t id =
     t.core.Core_spanner.selections
 
 (* The automaton's tuples on 𝔇(id), pulled one at a time from the
-   native cursor; the engine is deterministic ([Slp_spanner.create]),
-   so each tuple comes once. *)
+   native cursor.  The engine is deterministic unless its subset
+   construction tripped the cap ([Compiled.of_evset]); then a tuple
+   may come once per run, which [eval]'s relation absorbs and
+   [nonempty_on] does not care about. *)
 let tuples t id =
   Slp_spanner.prepare t.engine id;
   let cur = Slp_spanner.cursor t.engine id in

@@ -3,6 +3,7 @@ module Bitset = Spanner_util.Bitset
 module Bitmatrix = Spanner_util.Bitmatrix
 module Vec = Spanner_util.Vec
 module Limits = Spanner_util.Limits
+module Checked = Spanner_util.Checked
 
 (* The engine runs on Compiled's dense tables.  Node matrices live in
    plain node-indexed arrays (the store's ids are dense and ascending
@@ -13,15 +14,15 @@ module Limits = Spanner_util.Limits
    Concurrency contract: [prepare]/[prepare_gauge] mutate the engine
    (matrix slots, the frozen snapshot, the matrix counter) and must
    run on one domain.  Everything else — enumeration, counting —
-   only reads the frozen snapshot and already-filled slots, so once
-   the roots of interest are prepared, many domains may enumerate
-   concurrently (Plan's batch path does). *)
+   only reads the frozen snapshot and already-filled slots (counting
+   keeps its memo per call), so once the roots of interest are
+   prepared, many domains may enumerate and count concurrently
+   (Plan's batch path and serve's workers do). *)
 
 type engine = {
   ct : Compiled.t;
   store : Slp.store option;  (* None: frozen-backed (mmap arena), nothing to refresh *)
   set_step : Bitmatrix.t;
-  nondet : bool;  (* enumeration may repeat tuples; computed once, not per cursor *)
   ends : Bitset.t;  (* states that close a run: final, or a set arc from final *)
   mutable frozen : Slp.frozen;
   mutable pure : Bitmatrix.t option array; (* node id -> Pure_A *)
@@ -33,7 +34,6 @@ type engine = {
   class_pure_t : Bitmatrix.t option array;
   class_mixed_t : Bitmatrix.t option array;
   mutable matrices : int; (* filled node slots, ×2 (pure + mixed) *)
-  counts : (Slp.id * int * int, int) Hashtbl.t; (* mixed-run counts *)
 }
 
 let make_engine ct store frozen =
@@ -43,7 +43,6 @@ let make_engine ct store frozen =
     ct;
     store;
     set_step = Compiled.set_step_matrix ct;
-    nondet = not (Evset.is_deterministic (Compiled.evset ct));
     ends = Compiled.ending_states ct;
     frozen;
     pure = Array.make n None;
@@ -55,7 +54,6 @@ let make_engine ct store frozen =
     class_pure_t = Array.make ncls None;
     class_mixed_t = Array.make ncls None;
     matrices = 0;
-    counts = Hashtbl.create 256;
   }
 
 let of_compiled ct store = make_engine ct (Some store) (Slp.freeze store)
@@ -64,11 +62,9 @@ let of_compiled ct store = make_engine ct (Some store) (Slp.freeze store)
    flat view over an mmapped arena) is the whole world. *)
 let of_frozen ct frozen = make_engine ct None frozen
 
-let create e store =
-  let auto = if Evset.is_deterministic e then e else Evset.determinize e in
-  of_compiled (Compiled.of_evset auto) store
+let create e store = of_compiled (Compiled.of_evset e) store
 
-let nondeterministic engine = engine.nondet
+let nondeterministic engine = not (Compiled.is_deterministic engine.ct)
 
 let vars engine = Compiled.vars engine.ct
 
@@ -466,14 +462,21 @@ let cursor_next cur =
   done;
   !result
 
+(* Run counts can pass [max_int] on exponentially compressed
+   documents, so every sum and product is checked. *)
+let add = Checked.add ~what:"cardinal"
+let mul = Checked.mul ~what:"cardinal"
+
 let cardinal engine id =
   prepare engine id;
   let ct = engine.ct in
   let fz = engine.frozen in
   let n = nstates engine in
-  (* mixed-run counts per (node, p, q), memoised. *)
+  (* mixed-run counts per (node, p, q), memoised for this call only:
+     the engine is shared read-only across domains *)
+  let memo = Hashtbl.create 256 in
   let rec count id p q =
-    match Hashtbl.find_opt engine.counts (id, p, q) with
+    match Hashtbl.find_opt memo (id, p, q) with
     | Some c -> c
     | None ->
         let c =
@@ -490,15 +493,15 @@ let cardinal engine id =
               let total = ref 0 in
               for mid = 0 to n - 1 do
                 if Bitmatrix.get mixed_l p mid && Bitmatrix.get pure_r mid q then
-                  total := !total + count l p mid;
+                  total := add !total (count l p mid);
                 if Bitmatrix.get pure_l p mid && Bitmatrix.get mixed_r mid q then
-                  total := !total + count r mid q;
+                  total := add !total (count r mid q);
                 if Bitmatrix.get mixed_l p mid && Bitmatrix.get mixed_r mid q then
-                  total := !total + (count l p mid * count r mid q)
+                  total := add !total (mul (count l p mid) (count r mid q))
               done;
               !total
         in
-        Hashtbl.add engine.counts (id, p, q) c;
+        Hashtbl.add memo (id, p, q) c;
         c
   in
   let init = Compiled.initial ct in
@@ -511,18 +514,34 @@ let cardinal engine id =
       Compiled.iter_set_arcs ct q (fun _ q' ->
           if Compiled.is_final_state ct q' then incr endings);
       let runs =
-        (if Bitmatrix.get pure_root init q then 1 else 0)
-        + if Bitmatrix.get mixed_root init q then count id init q else 0
+        add
+          (if Bitmatrix.get pure_root init q then 1 else 0)
+          (if Bitmatrix.get mixed_root init q then count id init q else 0)
       in
-      total := !total + (runs * !endings)
+      total := add !total (mul runs !endings)
     end
   done;
   !total
 
-let to_relation engine id =
-  prepare engine id;
+(* Every run's tuple, deduplicated; each run drawn is one step of [g]. *)
+let relation g engine id =
+  prepare_gauge g engine id;
   let cur = cursor engine id in
   let rec drain r =
-    match cursor_next cur with None -> r | Some t -> drain (Span_relation.add r t)
+    match cursor_next cur with
+    | None -> r
+    | Some t ->
+        Limits.check g;
+        drain (Span_relation.add r t)
   in
   drain (Span_relation.empty (vars engine))
+
+let to_relation engine id = relation (Limits.unlimited ()) engine id
+
+let tuple_count ?(limits = Limits.none) engine id =
+  let g = Limits.start limits in
+  if nondeterministic engine then Span_relation.cardinal (relation g engine id)
+  else begin
+    prepare_gauge g engine id;
+    cardinal engine id
+  end

@@ -26,12 +26,13 @@
     node: documents sharing nodes share preprocessing, and nodes
     created by CDE updates (§4.3) pay only for themselves.
 
-    With a deterministic automaton ({!create} determinises) runs are
-    bijective with result tuples, so enumeration is duplicate-free.
-    {!of_compiled} accepts any compiled automaton; on a
-    non-deterministic one, {!cursor} may repeat tuples (and
-    {!cardinal} counts runs) — {!to_relation} deduplicates and is
-    exact either way.
+    With a deterministic automaton — what
+    {!Spanner_core.Compiled.of_evset} compiles unless its subset
+    construction trips the cap — runs are bijective with result
+    tuples, so enumeration is duplicate-free and {!cardinal} counts
+    tuples.  On the automaton as built (the fallback), {!cursor} may
+    repeat tuples and {!cardinal} counts runs; {!to_relation} and
+    {!tuple_count} deduplicate and are exact either way.
 
     Concurrency: {!prepare} mutates the engine and must stay on one
     domain, but enumeration over prepared nodes only reads a frozen
@@ -43,14 +44,16 @@ open Spanner_core
 
 type engine
 
-(** [create e store] builds an engine for the spanner ⟦e⟧ (the
-    automaton is determinised internally unless it already is). *)
+(** [create e store] is [of_compiled (Compiled.of_evset e) store]: the
+    engine runs the deterministic automaton unless the subset
+    construction tripped its cap ({!nondeterministic}). *)
 val create : Evset.t -> Slp.store -> engine
 
 (** [of_compiled ct store] builds an engine on an existing compiled
     automaton, sharing its tables (no recompilation).  If [ct] is not
-    deterministic, enumeration may visit a tuple once per run —
-    {!to_relation} and {!Spanner_engine.Cursor.of_slp} deduplicate. *)
+    deterministic ({!Spanner_core.Compiled.is_deterministic}),
+    enumeration may visit a tuple once per run — {!to_relation} and
+    {!Spanner_engine.Cursor.of_slp} deduplicate. *)
 val of_compiled : Compiled.t -> Slp.store -> engine
 
 (** [of_frozen ct fz] builds an engine directly over a frozen snapshot
@@ -77,8 +80,9 @@ val prepare_gauge : Spanner_util.Limits.gauge -> engine -> Slp.id -> unit
 (** [nondeterministic engine] is [true] when the compiled automaton is
     not deterministic — i.e. when enumeration ({!cursor}) may
     visit a tuple once per accepting run and a streaming consumer that
-    wants set semantics must deduplicate.  Computed once at engine
-    construction, so per-cursor setup does not pay the evset scan. *)
+    wants set semantics must deduplicate.  O(1): the compiled
+    spanner's {!Spanner_core.Compiled.is_deterministic}, recorded at
+    compilation. *)
 val nondeterministic : engine -> bool
 
 (** {2 Pull enumeration}
@@ -112,12 +116,27 @@ val cursor_next : cursor -> Span_tuple.t option
 
 (** [cardinal engine id] counts accepting runs by dynamic programming
     over run counts — no enumeration, O(|S|·|Q|²) after preparation.
-    Equals |⟦e⟧(𝔇(id))| when the automaton is deterministic. *)
+    Equals |⟦e⟧(𝔇(id))| when the automaton is deterministic.  Only
+    reads a prepared engine (the memo lives for the call), so domains
+    may count concurrently once [id] is prepared.
+    @raise Spanner_util.Limits.Spanner_error [(Eval_failure _)] when
+    the count exceeds [max_int] (never a wrapped value). *)
 val cardinal : engine -> Slp.id -> int
 
 (** [to_relation engine id] prepares [id] and drains its {!cursor}
     into a relation (set semantics: repeated runs collapse). *)
 val to_relation : engine -> Slp.id -> Span_relation.t
+
+(** [tuple_count ?limits engine id] is the number of result tuples
+    |⟦e⟧(𝔇(id))|, exact on every engine: {!cardinal}'s dynamic program
+    when the automaton is deterministic; otherwise ({!nondeterministic})
+    the cardinality of {!to_relation}, O(runs) time and memory for the
+    distinct tuples.  Prepares [id] first.  Under [limits], one gauge of
+    its own meters the preparation and each run drawn (fuel and
+    deadline; the tuple cap does not apply to a count).
+    @raise Spanner_util.Limits.Spanner_error on a limit trip, or
+    [(Eval_failure _)] when the count exceeds [max_int]. *)
+val tuple_count : ?limits:Spanner_util.Limits.t -> engine -> Slp.id -> int
 
 (** [matrices_computed engine] is the number of memoised node
     matrices (preprocessing bookkeeping for the experiments). *)

@@ -1,4 +1,5 @@
 module Limits = Spanner_util.Limits
+module Checked = Spanner_util.Checked
 module Slp = Spanner_slp.Slp
 
 let magic = "SLPAR1\n\x00"
@@ -254,7 +255,11 @@ let validate t =
       let r = right i in
       if l >= i || r < 0 || r >= i then
         corruptf "node %d: pair child out of topological order" i;
-      if len i <> len l + len r then corruptf "node %d: inconsistent derived length" i
+      let sum =
+        try Checked.add ~what:"SLPAR1" (len l) (len r)
+        with Limits.Spanner_error _ -> corruptf "node %d: derived length overflows int" i
+      in
+      if len i <> sum then corruptf "node %d: inconsistent derived length" i
     end
   done;
   let w_bytetab = w_left + (3 * n) in

@@ -4,10 +4,13 @@
      (spanner, document) pairs — same relation, duplicate-free, same
      cardinality; both for raw and determinised automata (the latter
      exercises the dense single-target letter table).
+   - of_evset's subset construction: the compiled automaton is
+     deterministic with at most as many states as the automaton as
+     built, or (for unions with a blow-up) exactly that automaton.
    - Batch evaluation is deterministic: Plan.relations over plain
      documents with 1 domain equals 4 domains, element by element.
-   - The Charset table/byte-class helpers and the domain pool that the
-     engine is built on. *)
+   - The Charset byte-class helper and the domain pool that the engine
+     is built on. *)
 
 open Spanner_core
 module Charset = Spanner_fa.Charset
@@ -110,6 +113,23 @@ let prop_compiled_equals_reference_det =
       let ct = Compiled.of_evset e in
       Compiled.is_letter_deterministic ct && agrees e doc)
 
+(* Ambiguous, and its subset construction needs 517 states where the
+   automaton as built has 58: a union with it compiles as built. *)
+let ambiguous = Regex_formula.parse "[ab]*(!x{a}|!x{a})[ab]*a[ab][ab][ab][ab][ab][ab][ab][ab]"
+
+let prop_deterministic_or_as_built =
+  QCheck2.Test.make
+    ~name:"of_evset: deterministic, or the automaton as built; = reference" ~count:400
+    QCheck2.Gen.(pair bool gen_pair)
+    ~print:(fun (blowup, p) -> print_pair p ^ if blowup then " (∪ ambiguous)" else "")
+    (fun (blowup, (f, doc)) ->
+      let e = Evset.of_formula (if blowup then Regex_formula.alt f ambiguous else f) in
+      let ct = Compiled.of_evset e in
+      (if Compiled.is_deterministic ct then
+         (not blowup) && Compiled.states ct <= Evset.size e && Compiled.is_letter_deterministic ct
+       else Compiled.states ct = Evset.size e)
+      && agrees e doc)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel batch determinism *)
 
@@ -150,14 +170,6 @@ let gen_charset =
            Charset.complement (Charset.of_string "b");
          ])
     >>= fun sets -> return (List.fold_left Charset.union Charset.empty sets))
-
-let prop_to_table =
-  QCheck2.Test.make ~name:"charset: to_table = mem on all 256 bytes" ~count:200 gen_charset
-    (fun cs ->
-      let table = Charset.to_table cs in
-      List.for_all
-        (fun code -> table.(code) = Charset.mem cs (Char.chr code))
-        (List.init 256 Fun.id))
 
 let prop_byte_classes =
   QCheck2.Test.make ~name:"charset: byte classes never split a charset" ~count:100
@@ -220,10 +232,11 @@ let () =
           [
             prop_compiled_equals_reference;
             prop_compiled_equals_reference_det;
+            prop_deterministic_or_as_built;
           ] );
       ("batch", to_alcotest [ prop_eval_all_deterministic ]);
       ( "tables",
-        to_alcotest [ prop_to_table; prop_byte_classes; prop_pool_map ]
+        to_alcotest [ prop_byte_classes; prop_pool_map ]
         @ [
             Alcotest.test_case "pool exception" `Quick test_pool_exception;
             Alcotest.test_case "batch example" `Quick test_batch_example;

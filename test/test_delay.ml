@@ -3,7 +3,9 @@
 
    - The two SLP machines against two other algorithms and against
      each other, over random formulas, documents and SLP builders, for
-     the compiled automaton determinized and not: Slp_spanner.cursor's
+     the compiled automaton deterministic and as built (a union with an
+     ambiguous formula whose subset construction trips
+     Compiled.of_evset's cap): Slp_spanner.cursor's
      run count equals Slp_spanner.cardinal (a separate dynamic program
      over run counts) and its set of tuples equals Compiled.eval on the
      decompressed text; on the same store and automaton, Incr.cursor
@@ -130,9 +132,20 @@ let drain_incr session id =
   in
   go []
 
+(* Ambiguous (x's two alternatives are two runs of one tuple), and its
+   subset construction needs 517 states where the automaton as built
+   has 58, so [Compiled.of_evset] falls back to the automaton as built;
+   a union with it falls back too. *)
+let ambiguous = Regex_formula.parse "[ab]*(!x{a}|!x{a})[ab]*a[ab][ab][ab][ab][ab][ab][ab][ab]"
+
+let as_built f =
+  let ct = Compiled.of_formula f in
+  if Compiled.is_deterministic ct then
+    Alcotest.failf "%s: expected the automaton as built" (Regex_formula.to_string f);
+  ct
+
 let det_and_nondet f =
-  let e = Evset.of_formula f in
-  [ Compiled.of_evset (Evset.determinize e); Compiled.of_evset e ]
+  [ Compiled.of_formula f; as_built (Regex_formula.alt f ambiguous) ]
 
 let prop_slp_cursor =
   QCheck2.Test.make
@@ -281,28 +294,34 @@ let test_tuple_cap_trips_mid_stream () =
     (fun () -> ignore (Cursor.next c))
 
 let test_dedup_burns_fuel () =
-  (* an ambiguous (non-determinized) automaton repeats every tuple:
-     the dedup table absorbs the copies, and that work must burn fuel
-     even though no extra tuple is ever delivered *)
-  let f =
-    Regex_formula.(
-      concat
-        (star (chars Charset.full))
-        (concat
-           (alt (bind (v "x") (char 'a')) (bind (v "x") (char 'a')))
-           (star (chars Charset.full))))
-  in
-  let ct = Compiled.of_evset (Evset.of_formula f) in
+  (* the automaton as built repeats every tuple: the dedup table absorbs
+     the copies, and that work must burn fuel even though no extra tuple
+     is ever delivered *)
+  let ct = as_built ambiguous in
   let store = Slp.create_store () in
-  let id = Slp.of_string store "aaaaaaaa" in
+  let id = Slp.of_string store "aaaaaaaaabbbbbbbb" in
   let engine = Slp_spanner.of_compiled ct store in
   Slp_spanner.prepare engine id;
+  check Alcotest.bool "the engine deduplicates" true (Slp_spanner.nondeterministic engine);
   let unmetered = Cursor.cardinal (Cursor.of_slp engine id) in
   check Alcotest.int "dedup delivers each match once" 8 unmetered;
-  let g = Limits.start (Limits.make ~fuel:6 ()) in
-  let c = Cursor.of_slp ~gauge:g engine id in
-  match Cursor.to_list c with
-  | _ -> Alcotest.fail "draining 16 runs through a 6-step gauge must trip"
+  check Alcotest.bool "more runs than a 12-step gauge allows" true
+    (Slp_spanner.cardinal engine id > 12);
+  (* the exact count deduplicates too, and each run it draws is fuel *)
+  check Alcotest.int "tuple_count counts tuples, not runs" 8 (Slp_spanner.tuple_count engine id);
+  (match Slp_spanner.tuple_count ~limits:(Limits.make ~fuel:12 ()) engine id with
+  | _ -> Alcotest.fail "counting the runs through a 12-step gauge must trip"
+  | exception Limits.Spanner_error (Limits.Limit_exceeded { which = Limits.Fuel; _ }) -> ());
+  let drain ct =
+    let engine = Slp_spanner.of_compiled ct store in
+    Slp_spanner.prepare engine id;
+    Cursor.to_list (Cursor.of_slp ~gauge:(Limits.start (Limits.make ~fuel:12 ())) engine id)
+  in
+  (* the 8 tuples alone fit in 12 steps: deterministic tables drain *)
+  check Alcotest.int "deterministic: 8 pulls in 12 steps" 8
+    (List.length (drain (Compiled.of_evset (Evset.determinize (Evset.of_formula ambiguous)))));
+  match drain ct with
+  | _ -> Alcotest.fail "draining the runs through a 12-step gauge must trip"
   | exception Limits.Spanner_error (Limits.Limit_exceeded { which = Limits.Fuel; _ }) -> ()
 
 (* ------------------------------------------------------------------ *)

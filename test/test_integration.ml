@@ -63,7 +63,7 @@ let compressed_editing_pipeline () =
        (Doc_db.names db));
   let spanner = Evset.of_formula (Regex_formula.parse "[ok;er]*!x{err}[ok;er]*") in
   let engine = Slp_spanner.create spanner store in
-  let count name = Slp_spanner.cardinal engine (Doc_db.find db name) in
+  let count name = Slp_spanner.tuple_count engine (Doc_db.find db name) in
   check Alcotest.int "log1 errors" 8 (count "log1");
   check Alcotest.int "log2 errors" 0 (count "log2");
   (* edit: splice the head of log1 (with its error) into log2 *)
@@ -161,7 +161,7 @@ let figure1_end_to_end () =
   let engine = Slp_spanner.create e store in
   let counts =
     List.map
-      (fun name -> (name, Slp_spanner.cardinal engine (Doc_db.find db name)))
+      (fun name -> (name, Slp_spanner.tuple_count engine (Doc_db.find db name)))
       (Doc_db.names db)
   in
   List.iter

@@ -329,7 +329,7 @@ let prop_slp_spanner =
       let compressed = Slp_spanner.to_relation engine id in
       let uncompressed = Evset.eval e doc in
       Span_relation.equal compressed uncompressed
-      && Slp_spanner.cardinal engine id = Span_relation.cardinal uncompressed)
+      && Slp_spanner.tuple_count engine id = Span_relation.cardinal uncompressed)
 
 let prop_accept =
   QCheck2.Test.make ~name:"slp acceptance = decompressed acceptance (§4.2)" ~count:200

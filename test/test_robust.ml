@@ -110,6 +110,21 @@ let state_cap_trips () =
       Evset.determinize ~limits:(Limits.make ~max_states:4 ()) (Evset.of_formula f));
   trips Limits.States (fun () -> Compiled.of_formula ~limits:(Limits.make ~max_states:4 ()) f)
 
+(* Compile-time determinisation draws on the request's fuel: running
+   dry there is the request's error, and only the subset construction's
+   own cap (the automaton's state count) falls back to the automaton as
+   built.  58 states and 3 byte classes charge 174 steps before the
+   subset construction starts. *)
+let compile_fuel_is_an_error () =
+  let e =
+    Evset.of_formula
+      (Regex_formula.parse "[ab]*(!x{a}|!x{a})[ab]*a[ab][ab][ab][ab][ab][ab][ab][ab]")
+  in
+  trips Limits.Fuel (fun () -> Compiled.of_evset ~limits:(Limits.make ~fuel:200 ()) e);
+  let ct = Compiled.of_evset ~limits:(Limits.make ~fuel:1_000_000 ~max_states:58 ()) e in
+  check Alcotest.bool "the cap falls back" false (Compiled.is_deterministic ct);
+  check Alcotest.int "to the automaton as built" (Evset.size e) (Compiled.states ct)
+
 let fuel_trips_on_long_document () =
   let ct = Compiled.of_formula (Regex_formula.parse ".*!x{a[ab]*b}.*") in
   let doc = String.concat "" (List.init 2_000 (fun _ -> "ab")) in
@@ -228,11 +243,11 @@ let incr_partial_failure () =
   let db = Doc_db.create () in
   ignore (Doc_db.add_string db "small" "aaaa");
   ignore (Doc_db.add_string db "huge" (String.make 80 'a'));
-  (* determinised: the SLP run enumeration then emits each tuple along
-     exactly one run, so the tuple cap counts distinct tuples *)
-  let ct =
-    Compiled.of_evset (Evset.determinize (Evset.of_formula (Regex_formula.parse "[a]*!x{a*}[a]*")))
-  in
+  (* compiled deterministic: the SLP run enumeration then emits each
+     tuple along exactly one run, so the tuple cap counts distinct
+     tuples *)
+  let ct = Compiled.of_formula (Regex_formula.parse "[a]*!x{a*}[a]*") in
+  check Alcotest.bool "deterministic" true (Compiled.is_deterministic ct);
   let s = Incr.create ct db in
   let results =
     List.concat_map
@@ -273,6 +288,12 @@ let hostile_sizes () =
   corrupt (fun () -> Serialize.read_string (magic ^ "\x01\x00\x61\x01\x7f\x6e"));
   (* truncated file *)
   corrupt (fun () -> Serialize.read_string (magic ^ "\x02\x00\x61"));
+  (* a doubling chain of 62 pairs: node i derives 2^i bytes, and 2^62
+     passes max_int — a typed error, not a wrapped length *)
+  let chain =
+    String.concat "" (List.init 62 (fun i -> Printf.sprintf "\x01%c%c" (Char.chr i) (Char.chr i)))
+  in
+  corrupt (fun () -> Serialize.read_string (magic ^ "\x3f\x00a" ^ chain ^ "\x01\x01d\x3e"));
   (* bad magic *)
   corrupt (fun () -> Serialize.read_string "NOTSLP!\x00");
   corrupt (fun () -> Serialize.read_string "")
@@ -364,6 +385,7 @@ let () =
       ( "budgets",
         [
           tc "state cap" `Quick state_cap_trips;
+          tc "compile fuel is an error, the cap a fallback" `Quick compile_fuel_is_an_error;
           tc "fuel on a long document" `Quick fuel_trips_on_long_document;
           tc "tuple cap" `Quick tuple_cap_trips;
           tc "datalog fixpoint fuel" `Quick datalog_fuel_trips;

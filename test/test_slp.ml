@@ -8,6 +8,7 @@ module X = Spanner_util.Xoshiro
 module Regex = Spanner_fa.Regex
 module Nfa = Spanner_fa.Nfa
 module Cursor = Spanner_engine.Cursor
+module Limits = Spanner_util.Limits
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -28,6 +29,37 @@ let store_hashcons () =
   check Alcotest.int "order leaf" 1 (Slp.order store a);
   check Alcotest.int "order pair" 2 (Slp.order store p1);
   check Alcotest.int "balance" 0 (Slp.balance store p1)
+
+(* Doubling chains from a short base cross 2^62: every length up to
+   max_int is exact, and the first pair past it raises a typed error
+   and creates no node. *)
+let prop_length_overflow =
+  QCheck2.Test.make ~name:"pair: exact lengths up to max_int, typed error past it" ~count:200
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_range 1 7) (int_range 1 7))
+    (fun (b, extra) ->
+      let store = Slp.create_store () in
+      let tail = Slp.of_string store (String.make extra 'b') in
+      (* the exact sum, or [None] past max_int *)
+      let sum x y = if x <= max_int - y then Some (x + y) else None in
+      let pairs_to l r expected =
+        let size = Slp.store_size store in
+        match (Slp.pair store l r, expected) with
+        | id, Some n -> Slp.len store id = n
+        | _, None -> false
+        | exception Limits.Spanner_error (Limits.Eval_failure _) ->
+            expected = None && Slp.store_size store = size
+      in
+      let rec climb id len =
+        pairs_to id tail (sum len extra)
+        &&
+        match sum len len with
+        | Some n ->
+            let doubled = Slp.pair store id id in
+            Slp.len store doubled = n && climb doubled n
+        | None -> pairs_to id id None
+      in
+      climb (Slp.of_string store (String.make b 'a')) b)
 
 let store_access () =
   let store = Slp.create_store () in
@@ -425,6 +457,25 @@ let slp_spanner_exponential_doc () =
   check Alcotest.int "early exit" 10 (Cursor.cardinal (Cursor.take c 10));
   check Alcotest.int "ten pulls" 10 (Cursor.pulls c)
 
+(* a*!x{a*}a* has (n+1)(n+2)/2 answers over a^n: exact while that fits
+   in an int (n = 2^30), a typed error past max_int (n = 2^32) instead
+   of a wrapped count.  Counting keeps its memo per call, so two
+   domains may count over one prepared engine at once. *)
+let slp_spanner_cardinal_overflow () =
+  let store = Slp.create_store () in
+  let engine = Slp_spanner.create (Evset.of_formula (Regex_formula.parse "a*!x{a*}a*")) store in
+  let rec power id k = if k = 0 then id else power (Slp.pair store id id) (k - 1) in
+  let a30 = power (Slp.leaf store 'a') 30 in
+  let n = 1 lsl 30 in
+  check Alcotest.int "a^(2^30): exact" ((n + 1) * (n + 2) / 2) (Slp_spanner.cardinal engine a30);
+  let a32 = power a30 2 in
+  Slp_spanner.prepare engine a32;
+  let other = Domain.spawn (fun () -> Slp_spanner.cardinal engine a30) in
+  (match Slp_spanner.cardinal engine a32 with
+  | c -> Alcotest.failf "a^(2^32): the count exceeds max_int, got %d" c
+  | exception Limits.Spanner_error (Limits.Eval_failure { what = "cardinal"; _ }) -> ());
+  check Alcotest.int "a^(2^30) on a second domain" ((n + 1) * (n + 2) / 2) (Domain.join other)
+
 let slp_spanner_shared_docs () =
   (* one engine over a document database: shared nodes shared in cache *)
   let fig = Figure1.build () in
@@ -580,7 +631,9 @@ let serialize_errors () =
 let () =
   Alcotest.run "slp"
     [
-      ("store", [ tc "hash-consing" `Quick store_hashcons; tc "access" `Quick store_access ]);
+      ( "store",
+        [ tc "hash-consing" `Quick store_hashcons; tc "access" `Quick store_access ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_length_overflow ] );
       ( "figure1",
         [
           tc "documents" `Quick figure1_documents;
@@ -636,6 +689,7 @@ let () =
           tc "matches oracle" `Quick slp_spanner_matches_oracle;
           tc "duplicate free" `Quick slp_spanner_duplicate_free;
           tc "exponentially compressed document" `Quick slp_spanner_exponential_doc;
+          tc "cardinal past max_int" `Quick slp_spanner_cardinal_overflow;
           tc "document database sharing" `Quick slp_spanner_shared_docs;
         ] );
     ]

@@ -301,6 +301,36 @@ let arena_hostile_body () =
   let subtle = flip v (len_byte + 1) in
   corrupt (fun () -> Arena.validate (Arena.of_string subtle))
 
+(* A consistent image whose one wrapping length the checksums cover:
+   a 61-fold doubling of "a" (length 2^61) paired with "b", re-pointed
+   at the doubling twice with the length 2^61 + 2^61 wraps to.  Every
+   other check passes, so only the exact length sum can reject it. *)
+let arena_wrapping_length () =
+  let store = Slp.create_store () in
+  let rec double id k = if k = 0 then id else double (Slp.pair store id id) (k - 1) in
+  let top = double (Slp.leaf store 'a') 61 in
+  let v = Arena.pack_bytes store [ ("d", Slp.pair store top (Slp.leaf store 'b')) ] in
+  let b = Bytes.of_string v in
+  let word w = Int64.to_int (Bytes.get_int64_le b (8 * w)) in
+  let set_word w x = Bytes.set_int64_le b (8 * w) (Int64.of_int x) in
+  let n = word 2 in
+  let w_right = 8 + n and w_len = 8 + (2 * n) in
+  let find len = List.find (fun i -> word (w_len + i) = len) (List.init n Fun.id) in
+  let x = find ((1 lsl 61) + 1) in
+  set_word (w_right + x) (find (1 lsl 61));
+  set_word (w_len + x) ((1 lsl 61) + (1 lsl 61));
+  (* re-seal: FNV-1a over the body (word 5), then over words 0..6 (word 7) *)
+  let fnv lo hi =
+    let h = ref 0x3bf29ce484222325 in
+    for i = lo to hi - 1 do
+      h := (!h lxor Char.code (Bytes.get b i)) * 0x100000001b3 land max_int
+    done;
+    !h
+  in
+  set_word 5 (fnv 64 (Bytes.length b));
+  set_word 7 (fnv 0 56);
+  corrupt (fun () -> Arena.validate (Arena.of_string (Bytes.to_string b)))
+
 let arena_file_round_trip () =
   with_tmp_dir (fun dir ->
       let db = sample_db () in
@@ -387,6 +417,7 @@ let () =
         [
           tc "header damage fails at open" `Quick arena_hostile_open;
           tc "body damage fails typed at access/validate" `Quick arena_hostile_body;
+          tc "a wrapping derived length fails validate" `Quick arena_wrapping_length;
         ] );
       ( "files",
         [
