@@ -31,6 +31,8 @@ exception Usage of string
 
 let usage msg = raise (Usage msg)
 
+let at_least_one flag n = if n < 1 then usage (Printf.sprintf "--%s must be at least 1" flag)
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -229,7 +231,7 @@ let batch_cmd formula store files jobs engine limits offset limit format =
 (* pack *)
 
 let pack_cmd files dbfile shards out =
-  if shards < 1 then usage "--shards must be at least 1";
+  at_least_one "shards" shards;
   let db =
     match (dbfile, files) with
     | Some _, _ :: _ -> usage "give FILEs or --db, not both"
@@ -368,6 +370,7 @@ let slpeval_cmd formula doc file limit limits =
 let edit_cmd formula doc file exprs capacity show limits offset limit format =
   let document = read_document doc file in
   if String.length document = 0 then usage "SLPs derive non-empty documents";
+  Option.iter (at_least_one "capacity") capacity;
   let db = Spanner_slp.Doc_db.create () in
   ignore (Spanner_slp.Doc_db.add_string db "doc" document);
   let store = Spanner_slp.Doc_db.store db in
@@ -887,11 +890,20 @@ module Serve_client = Spanner_serve.Client
 
 let serve_cmd address jobs queue plan_cache doc_cache window max_frame fuse_states limits
     io_timeout_ms idle_timeout_ms drain_ms =
+  List.iter
+    (fun (flag, n) -> at_least_one flag n)
+    [
+      ("queue", queue);
+      ("plan-cache", plan_cache);
+      ("doc-cache", doc_cache);
+      ("window", window);
+      ("max-frame", max_frame);
+    ];
   let address = Server.address_of_string address in
   let config =
     {
       (Server.default_config address) with
-      Server.workers = jobs;
+      Server.workers = Option.map (max 1) jobs;
       queue;
       plan_cache;
       doc_cache;
@@ -976,7 +988,9 @@ let serve_jobs_arg =
     value
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains executing queries (default: all cores minus one).")
+        ~doc:
+          "Worker domains executing queries (default: all cores minus one; $(docv) < 1 \
+           counts as 1).")
 
 let queue_arg =
   Arg.(

@@ -90,6 +90,14 @@ let same_names names x y = names x = names y
    unbudgeted oracle stays cheap. *)
 let formula_docs s = [ "ab0x 9a1"; String.sub s 0 (min 12 (String.length s)) ]
 
+(* The tuple list, stats and cardinal of [ct] on [doc]. *)
+let stream ct doc =
+  let p = Spanner_core.Compiled.prepare ~limits:budget ct doc in
+  let cur = Spanner_core.Compiled.cursor p in
+  ( List.of_seq (Seq.of_dispenser (fun () -> Spanner_core.Compiled.cursor_next cur)),
+    Spanner_core.Compiled.stats p,
+    Spanner_core.Compiled.cardinal p )
+
 type target = { name : string; alphabet : string; run : string -> unit }
 
 let targets =
@@ -103,17 +111,36 @@ let targets =
             reparsed ~parse:Spanner_core.Regex_formula.parse
               ~print:Spanner_core.Regex_formula.to_string ~same:(same_names formula_names) s
           in
-          (* the compiled tables — the subset construction's, or the
-             automaton as built when it trips its cap — must answer
+          (* the compiled automaton — the subset construction's, or
+             the automaton as built when it trips its cap — must answer
              like the oracle on the automaton as built *)
           let e = Spanner_core.Evset.of_formula ~limits:budget f in
           let ct = Spanner_core.Compiled.of_evset ~limits:budget e in
+          let docs = formula_docs s in
           List.iter
             (fun doc ->
               let compiled = Spanner_core.Compiled.eval ~limits:budget ct doc in
               if not (Spanner_core.Span_relation.equal compiled (Spanner_core.Evset.eval e doc))
-              then failwith (Printf.sprintf "compiled tables disagree with Evset.eval on %S" doc))
-            (formula_docs s));
+              then failwith (Printf.sprintf "compiled automaton disagrees with Evset.eval on %S" doc))
+            docs;
+          (* and compiling its determinisation enumerates the same
+             tuples in the same order, with the same DAG *)
+          let det =
+            Spanner_core.Compiled.of_evset ~limits:budget
+              (Spanner_core.Evset.determinize ~limits:budget e)
+          in
+          List.iter
+            (fun doc ->
+              let tuples, stats, cardinal = stream ct doc in
+              let tuples', stats', cardinal' = stream det doc in
+              if
+                not
+                  (List.equal Spanner_core.Span_tuple.equal tuples tuples'
+                  && stats = stats' && cardinal = cardinal')
+              then
+                failwith
+                  (Printf.sprintf "the determinised automaton enumerates otherwise on %S" doc))
+            docs);
     };
     {
       name = "refl";

@@ -7,43 +7,42 @@
     complexity in the sense of §2.5 ([10], [39]) — is hoisted into a
     one-time compilation ({!of_evset}):
 
-    - the marker-set alphabet is interned into dense label ids;
-    - the automaton is determinised by the subset construction, one
-      step per byte class and capped at its own state count (a
-      blow-up keeps the automaton as built; {!is_deterministic}
-      records which);
-    - letter arcs become flat transition tables indexed by
-      [state × byte-class] ({!Spanner_fa.Charset.byte_classes}
-      collapses the 256 bytes into the few classes the spanner can
-      distinguish), with a single dense [int array] when the automaton
-      is letter-deterministic and a CSR offsets/targets pair
-      otherwise;
-    - set arcs become a CSR adjacency ([state → (label id, target)]).
+    - the automaton is interned ({!Evset.intern}): marker-set labels
+      become dense ids, and the 256 bytes collapse into the few classes
+      the spanner can distinguish ({!Spanner_fa.Charset.byte_classes});
+    - it is determinised by the subset construction, one step per byte
+      class and capped at its own state count (a blow-up keeps the
+      automaton as built; {!is_deterministic} records which).
 
-    The per-document pass ({!prepare}) is then array indexing only: it
-    determinises the automaton's extended form {e on the document} —
-    the product of document positions and state subsets — trims it to
-    useful nodes, and compresses markerless chains with jump pointers.
-    When every state fits in one machine word (any automaton with at
-    most [Sys.int_size] states), subsets are plain int bitmasks with
-    precompiled per-(state, class) successor masks — the hot path is
-    integer arithmetic and allocates nothing; larger automata fall
-    back to {!Spanner_util.Bitset} subsets interned by canonical
-    content key ({!Spanner_util.Bitset.key}).  Every maximal path of
-    the trimmed DAG is one result tuple, so the {!cursor} walk needs no
-    duplicate elimination.
+    A compiled spanner is that interned automaton: per state, its set
+    arcs as (label id, target) rows and, per byte class, its letter
+    targets.
+
+    The per-document pass ({!prepare}) determinises the automaton's
+    extended form {e on the document} — the product of document
+    positions and state subsets — trims it to useful nodes, and
+    compresses markerless chains with jump pointers.  Its subsets come
+    from the same subset table as compile-time determinisation
+    ({!Evset.subsets}), built afresh per document: each subset's label
+    groups, successors per byte class and acceptance are computed once,
+    and a layer finds its node for a subset in one array holding each
+    subset's latest node, whose boundary tells its layer.
+    On a deterministic automaton every subset is a single state.  Every
+    maximal path of the trimmed DAG is one result tuple, so the
+    {!cursor} walk needs no duplicate elimination.
 
     This module is the one way into that engine: compile with
     {!of_evset}, preprocess with {!prepare}, then pull tuples with
     {!cursor}/{!cursor_next} or collect them with {!eval}.
 
-    Compiled tables are immutable after {!of_evset}, so one compiled
-    spanner may be shared by concurrent domains: batches of documents
-    (the document-database workload of §4, one spanner and many
-    documents) fan out through {!Spanner_engine.Plan.relations}. *)
+    Compiled spanners are immutable after {!of_evset} (each {!prepare}
+    builds its own subset table), so one compiled spanner may be shared
+    by concurrent domains: batches of documents (the document-database
+    workload of §4, one spanner and many documents) fan out through
+    {!Spanner_engine.Plan.relations}. *)
 
 type t
-(** A compiled spanner: dense transition tables, shareable across
+(** A compiled spanner: the shipped interned automaton, shareable across
     domains. *)
 
 (** [of_evset ?limits e] compiles [e] once — combined complexity,
@@ -63,11 +62,11 @@ type t
     same tuples in the same order.
 
     Under [limits], [e]'s state count is checked against the state
-    cap before any table is allocated
+    cap before [e] is interned
     ({!Spanner_util.Limits.Spanner_error} with
-    [Limit_exceeded {which = States; _}] on violation), and the table
-    and subset work draws on one gauge's fuel and deadline; those
-    trips are errors, never a fallback. *)
+    [Limit_exceeded {which = States; _}] on violation), and the
+    interning and subset work draws on one gauge's fuel and deadline;
+    those trips are errors, never a fallback. *)
 val of_evset : ?limits:Spanner_util.Limits.t -> Evset.t -> t
 
 (** [of_formula ?limits f] is [of_evset ?limits (Evset.of_formula
@@ -75,7 +74,8 @@ val of_evset : ?limits:Spanner_util.Limits.t -> Evset.t -> t
     construction. *)
 val of_formula : ?limits:Spanner_util.Limits.t -> Regex_formula.t -> t
 
-(** {1 Compiled-table accessors (bench/CLI introspection)} *)
+(** {1 Accessors (bench/CLI introspection, and the SLP and incremental
+    engines)} *)
 
 val vars : t -> Variable.Set.t
 
@@ -97,10 +97,6 @@ val describe : t -> string
 (** [classes ct] is the number of byte classes (≤ 256). *)
 val classes : t -> int
 
-(** [is_letter_deterministic ct] tells whether the dense single-target
-    letter table is in use (at most one successor per state and byte). *)
-val is_letter_deterministic : t -> bool
-
 (** [initial ct] is the initial state. *)
 val initial : t -> int
 
@@ -108,7 +104,7 @@ val initial : t -> int
 val is_final_state : t -> int -> bool
 
 (** [iter_set_arcs ct q f] applies [f label_id dst] to each set arc
-    leaving [q], in compiled (CSR) order. *)
+    leaving [q], in row order. *)
 val iter_set_arcs : t -> int -> (int -> int -> unit) -> unit
 
 (** [class_of_char ct c] is the byte class of [c] (see {!classes}). *)
@@ -135,7 +131,7 @@ val ending_states : t -> Spanner_util.Bitset.t
     [picks] holds the run's set arcs as (0-based boundary, label id)
     pairs in boundary order; [extra] is an optional last pick (the
     trailing-boundary set arc of an ending state).  Shared by every
-    engine that enumerates runs over these tables. *)
+    engine that enumerates runs over this automaton. *)
 val tuple_of_picks :
   t -> (int * int) Spanner_util.Vec.t -> (int * int) option -> Span_tuple.t
 
@@ -170,11 +166,11 @@ val summary_compose : summary -> summary -> summary
 type prepared
 
 (** [prepare ?limits ct doc] runs the data-complexity pass: O(|doc|)
-    array lookups for a fixed spanner, producing the trimmed product
-    DAG.  Under [limits], each product node consumes one unit of fuel
-    and the wall-clock deadline is probed every ~4K nodes, so an
-    oversized document fails with [Limit_exceeded] instead of running
-    away. *)
+    subset-table lookups for a fixed spanner, producing the trimmed
+    product DAG.  Under [limits], each product node consumes one unit
+    of fuel and the wall-clock deadline is probed every ~4K nodes, so
+    an oversized document fails with [Limit_exceeded] instead of
+    running away. *)
 val prepare : ?limits:Spanner_util.Limits.t -> t -> string -> prepared
 
 (** [prepare_with_gauge g ct doc] is {!prepare} drawing on the

@@ -186,89 +186,157 @@ let intern g e =
     cells = Array.map (List.sort_uniq Int.compare) cells;
   }
 
+(* ------------------------------------------------------------------ *)
+(* The subset table                                                    *)
+
+(* Subsets of an interned automaton's states, numbered in the order
+   they are met.  Three facts about each are computed once: whether it
+   accepts (when it is admitted), its set arcs grouped by label (on the
+   first [set_row]) and its successor under a byte class (on the first
+   [step] with that class).  [admit k] runs before the [k]-th subset is
+   added.  Compile-time determinisation expands the table breadth-first;
+   [Compiled.prepare] reads it along a document. *)
+type subsets = {
+  over : interned;
+  admit : int -> unit;
+  index : int Bitset.Tbl.t;
+  sets : Bitset.t Vec.t;
+  accepts : bool Vec.t;
+  rows : (int * int) list option Vec.t;
+  mutable succ : int array; (* subset × class -> successor, -1 none, [unknown] *)
+  label_stamp : int array; (* label -> the subset whose row last grouped it *)
+  label_tgt : Bitset.t array; (* label -> its targets from that subset *)
+  image : Bitset.t;
+}
+
+let unknown = -2
+
+let intern_subset t set =
+  match Bitset.Tbl.find_opt t.index set with
+  | Some d -> d
+  | None ->
+      t.admit (Vec.length t.sets + 1);
+      let set = Bitset.copy set in
+      let d = Vec.push t.sets set in
+      Bitset.Tbl.add t.index set d;
+      ignore (Vec.push t.accepts (Bitset.fold (fun q acc -> acc || t.over.accepting.(q)) set false));
+      ignore (Vec.push t.rows None);
+      let nclasses = t.over.nclasses in
+      if (d + 1) * nclasses > Array.length t.succ then begin
+        let succ = Array.make (2 * (d + 1) * nclasses) unknown in
+        Array.blit t.succ 0 succ 0 (d * nclasses);
+        t.succ <- succ
+      end;
+      d
+
+let make_subsets ~admit a =
+  let nlabels = max 1 (Array.length a.labels) in
+  let t =
+    {
+      over = a;
+      admit;
+      index = Bitset.Tbl.create 64;
+      sets = Vec.create ();
+      accepts = Vec.create ();
+      rows = Vec.create ();
+      succ = Array.make (max 1 a.states * a.nclasses) unknown;
+      label_stamp = Array.make nlabels (-1);
+      label_tgt = Array.init nlabels (fun _ -> Bitset.create a.states);
+      image = Bitset.create a.states;
+    }
+  in
+  let start = Bitset.create a.states in
+  Bitset.add start a.start;
+  ignore (intern_subset t start);
+  t
+
+let subsets a = make_subsets ~admit:ignore a
+let accepts t d = Vec.get t.accepts d
+
+(* Labels in first-discovery order: states ascending, each state's set
+   arcs in arc order. *)
+let set_row t d =
+  match Vec.get t.rows d with
+  | Some row -> row
+  | None ->
+      let found = ref [] in
+      Bitset.iter
+        (fun q ->
+          List.iter
+            (fun (lbl, dst) ->
+              if t.label_stamp.(lbl) <> d then begin
+                t.label_stamp.(lbl) <- d;
+                Bitset.clear t.label_tgt.(lbl);
+                found := lbl :: !found
+              end;
+              Bitset.add t.label_tgt.(lbl) dst)
+            t.over.set_rows.(q))
+        (Vec.get t.sets d);
+      let row = List.map (fun lbl -> (lbl, intern_subset t t.label_tgt.(lbl))) (List.rev !found) in
+      Vec.set t.rows d (Some row);
+      row
+
+let step t d cls =
+  let a = t.over in
+  let cell = (d * a.nclasses) + cls in
+  let s = t.succ.(cell) in
+  if s <> unknown then s
+  else begin
+    Bitset.clear t.image;
+    Bitset.iter
+      (fun q -> List.iter (Bitset.add t.image) a.cells.((q * a.nclasses) + cls))
+      (Vec.get t.sets d);
+    let s = if Bitset.is_empty t.image then -1 else intern_subset t t.image in
+    (* interning may have grown [t.succ] *)
+    t.succ.(cell) <- s;
+    s
+  end
+
 exception Cap
 
-(* Subset construction, one step per byte class, charged to [g].
-   Subsets are numbered in discovery order: a subset's set-arc targets
-   (labels in first-discovery order, states ascending), then its letter
-   targets by class in byte order.  Each new row lists its set arcs in
-   that same first-discovery order, which is the order
-   [Compiled.prepare] finds the labels of the subset on the automaton
-   as built — so the product DAG, and with it the enumeration order,
-   is the same on both.  Raises [Cap] when a subset beyond the first
-   [cap] turns up. *)
-let subset_construction g ~cap a =
-  let n = a.states and nclasses = a.nclasses in
+(* Subsets are expanded in the order they were numbered: first a
+   subset's set-arc targets (labels in first-discovery order), then its
+   letter targets by class in byte order.  The new automaton's rows are
+   the table's, the same rows [Compiled.prepare] reads off a table over
+   [a] — so the product DAG, and with it the enumeration order, is the
+   same on both. *)
+let determinize_interned g ~cap a =
+  let nclasses = a.nclasses in
   let rep = representatives a.class_of nclasses in
   let by_byte = Array.init nclasses Fun.id in
   Array.sort (fun c c' -> Int.compare rep.(c) rep.(c')) by_byte;
-  let index = Bitset.Tbl.create 64 in
-  let subsets = Vec.create () in
-  let subset_id set =
-    match Bitset.Tbl.find_opt index set with
-    | Some d -> d
-    | None ->
-        let k = Vec.length subsets + 1 in
-        if k > cap then raise Cap;
-        (* exponential in |a| in the worst case, so the request's state
-           cap applies per subset *)
-        Limits.check_states g k;
-        let set = Bitset.copy set in
-        let d = Vec.push subsets set in
-        Bitset.Tbl.add index set d;
-        d
+  let admit k =
+    if k > cap then raise Cap;
+    (* exponential in |a| in the worst case, so the request's state cap
+       applies per subset *)
+    Limits.check_states g k
   in
-  let start = Bitset.create n in
-  Bitset.add start a.start;
-  ignore (subset_id start);
-  let nlabels = max 1 (Array.length a.labels) in
-  let label_stamp = Array.make nlabels (-1) in
-  let label_tgt = Array.make nlabels (Bitset.create 0) in
-  let image = Bitset.create n in
-  let set_rows = Vec.create () and cells = Vec.create () in
-  (* subsets are expanded in the order they were numbered: row [d] is
-     the [d]-th pushed *)
-  while Vec.length set_rows < Vec.length subsets do
-    let d = Vec.length set_rows in
-    let set = Vec.get subsets d in
-    let found = ref [] in
-    Bitset.iter
-      (fun q ->
-        Limits.charge g nclasses;
-        List.iter
-          (fun (lbl, dst) ->
-            if label_stamp.(lbl) <> d then begin
-              label_stamp.(lbl) <- d;
-              label_tgt.(lbl) <- Bitset.create n;
-              found := lbl :: !found
-            end;
-            Bitset.add label_tgt.(lbl) dst)
-          a.set_rows.(q))
-      set;
-    let set_row = List.map (fun lbl -> (lbl, subset_id label_tgt.(lbl))) (List.rev !found) in
-    ignore (Vec.push set_rows set_row);
-    let letter_row = Array.make nclasses [] in
-    Array.iter
-      (fun c ->
-        Bitset.clear image;
-        Bitset.iter (fun q -> List.iter (Bitset.add image) a.cells.((q * nclasses) + c)) set;
-        if not (Bitset.is_empty image) then letter_row.(c) <- [ subset_id image ])
-      by_byte;
-    ignore (Vec.push cells letter_row)
-  done;
-  let subsets = Vec.to_array subsets in
-  let accepting set = Bitset.fold (fun q acc -> acc || a.accepting.(q)) set false in
-  {
-    a with
-    states = Array.length subsets;
-    start = 0;
-    accepting = Array.map accepting subsets;
-    set_rows = Vec.to_array set_rows;
-    cells = Array.concat (Vec.to_list cells);
-  }
-
-let determinize_interned g ~cap a =
-  match subset_construction g ~cap a with dfa -> Some dfa | exception Cap -> None
+  let expand () =
+    let t = make_subsets ~admit a in
+    let d = ref 0 in
+    while !d < Vec.length t.sets do
+      Bitset.iter (fun _ -> Limits.charge g nclasses) (Vec.get t.sets !d);
+      ignore (set_row t !d);
+      Array.iter (fun c -> ignore (step t !d c)) by_byte;
+      incr d
+    done;
+    t
+  in
+  match expand () with
+  | exception Cap -> None
+  | t ->
+      let states = Vec.length t.sets in
+      Some
+        {
+          a with
+          states;
+          start = 0;
+          accepting = Vec.to_array t.accepts;
+          set_rows = Array.init states (set_row t);
+          cells =
+            Array.init (states * nclasses) (fun cell ->
+                match t.succ.(cell) with -1 -> [] | s -> [ s ]);
+        }
 
 (* Back from ids to labels: a state's letter arcs are its classes
    grouped by target, one charset per target. *)
@@ -302,7 +370,7 @@ let of_interned vars a =
 
 let determinize ?(limits = Limits.none) e =
   let g = Limits.start limits in
-  of_interned e.vars (subset_construction g ~cap:max_int (intern g e))
+  of_interned e.vars (Option.get (determinize_interned g ~cap:max_int (intern g e)))
 
 let is_deterministic e =
   let ok = ref true in

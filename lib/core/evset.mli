@@ -79,16 +79,43 @@ type interned = {
     (state, class) cell. *)
 val intern : Spanner_util.Limits.gauge -> t -> interned
 
+(** {1 The subset table}
+
+    The subset construction, written once and driven from both sides:
+    {!determinize_interned} expands it breadth-first at compile time,
+    and {!Compiled.prepare} reads it along a document.  Subsets of an
+    interned automaton's states are numbered from 0 in the order they
+    are met; subset 0 is the start state alone.  Each fact below is
+    computed once per subset and memoised. *)
+
+type subsets
+
+(** [subsets a] is the table over [a], holding subset 0 only. *)
+val subsets : interned -> subsets
+
+(** [set_row t d] is subset [d]'s set arcs grouped by label: each label
+    once, in the order subset [d]'s states (ascending) first use it,
+    paired with the subset of its targets. *)
+val set_row : subsets -> int -> (int * int) list
+
+(** [step t d cls] is the subset of letter targets of subset [d] under
+    byte class [cls], or [-1] when it is empty. *)
+val step : subsets -> int -> int -> int
+
+(** [accepts t d] tells whether subset [d] holds an accepting state. *)
+val accepts : subsets -> int -> bool
+
 (** [determinize_interned g ~cap a] runs the subset construction on
     [a], one step per byte class, and is [None] as soon as a subset
     beyond the first [cap] turns up.  Labels and classes are [a]'s.
-    Subsets are numbered in discovery order and each one's set arcs
-    are listed in the order {!Compiled.prepare} meets their labels on
-    [a], so enumeration over both automata yields the same tuples in
-    the same order.  The work is charged to [g], and each subset is
-    checked against [g]'s state cap: fuel, deadline and [max_states]
-    trips raise {!Spanner_util.Limits.Spanner_error}, while [cap] only
-    gives [None]. *)
+    It expands {!subsets} breadth-first, and state [d] of the result
+    is subset [d] with {!set_row} as its set arcs, so enumeration over
+    both automata yields the same tuples in the same order.  The work
+    is charged to [g] ([classes] steps per member state of each
+    expanded subset), and each subset is checked against [g]'s state
+    cap: fuel, deadline and [max_states] trips raise
+    {!Spanner_util.Limits.Spanner_error}, while [cap] only gives
+    [None]. *)
 val determinize_interned :
   Spanner_util.Limits.gauge -> cap:int -> interned -> interned option
 

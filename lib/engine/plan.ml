@@ -31,7 +31,8 @@ let input p = p.input
 let rationale p = (p.facts (), p.why)
 
 (* A matrix sweep costs O(nodes) boolean products against the O(bytes)
-   dense-table scan; below this compression ratio the products lose. *)
+   compiled document pass; below this compression ratio the products
+   lose. *)
 let sweep_threshold = 2.0
 
 let ratio bytes nodes = float_of_int bytes /. float_of_int (max 1 nodes)

@@ -2,7 +2,7 @@
     evaluation engine.
 
     The library grew four ways to answer the same question — the
-    dense-table document pass ({!Spanner_core.Compiled}), the
+    compiled document pass ({!Spanner_core.Compiled}), the
     compressed-domain matrix sweep ({!Spanner_slp.Slp_spanner}), the
     decompress-then-evaluate baseline, and the summary-cached
     incremental engine ({!Spanner_incr.Incr}) — and until now every

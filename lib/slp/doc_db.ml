@@ -1,4 +1,5 @@
 module Vec = Spanner_util.Vec
+module Checked = Spanner_util.Checked
 
 type t = { store : Slp.store; names : string Vec.t; table : (string, Slp.id) Hashtbl.t }
 
@@ -22,7 +23,9 @@ let find_opt db name = Hashtbl.find_opt db.table name
 let names db = Vec.to_list db.names
 
 let total_len db =
-  List.fold_left (fun acc name -> acc + Slp.len db.store (find db name)) 0 (names db)
+  List.fold_left
+    (fun acc name -> Checked.add ~what:"document length" acc (Slp.len db.store (find db name)))
+    0 (names db)
 
 let freeze db = Slp.freeze db.store
 

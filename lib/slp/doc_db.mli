@@ -30,7 +30,9 @@ val find_opt : t -> string -> Slp.id option
 (** [names db] is the document names in insertion order. *)
 val names : t -> string list
 
-(** [total_len db] is Σ |D_i| — the uncompressed size. *)
+(** [total_len db] is Σ |D_i| — the uncompressed size.
+    @raise Spanner_util.Limits.Spanner_error [(Eval_failure _)] when
+    the sum passes [max_int]. *)
 val total_len : t -> int
 
 (** [compressed_size db] is the number of distinct nodes reachable

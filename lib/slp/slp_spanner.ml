@@ -5,7 +5,7 @@ module Vec = Spanner_util.Vec
 module Limits = Spanner_util.Limits
 module Checked = Spanner_util.Checked
 
-(* The engine runs on Compiled's dense tables.  Node matrices live in
+(* The engine runs on Compiled's automaton.  Node matrices live in
    plain node-indexed arrays (the store's ids are dense and ascending
    ids are topological), leaf matrices are shared per byte class, and
    the bottom-up sweep is iterative — no recursion anywhere on the

@@ -18,7 +18,7 @@
       On a c-shallow SLP each of the ≤ 2k+1 descents costs O(log |D|)
       — the paper's O(log |D|) delay (§4.2).
 
-    The engine is built on {!Spanner_core.Compiled}'s dense tables:
+    The engine is built on {!Spanner_core.Compiled}'s automaton:
     node matrices live in node-indexed arrays, leaf matrices are
     shared per {e byte class} (bytes the spanner never separates share
     one matrix), and the bottom-up sweep is iterative, so arbitrarily

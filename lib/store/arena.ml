@@ -284,7 +284,9 @@ let leaf t c =
   if e < 0 then None else Some e
 
 let total_len t =
-  Array.fold_left (fun acc (_, root) -> acc + Slp.frozen_len t.frozen root) 0 t.docs
+  Array.fold_left
+    (fun acc (_, root) -> Checked.add ~what:"document length" acc (Slp.frozen_len t.frozen root))
+    0 t.docs
 
 let path t = t.backing
 let mapped_bytes t = t.size

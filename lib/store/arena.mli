@@ -98,7 +98,9 @@ val find : t -> string -> Slp.id option
     table, if the arena contains one. *)
 val leaf : t -> char -> Slp.id option
 
-(** [total_len t] is the summed derived length of all documents. *)
+(** [total_len t] is the summed derived length of all documents.
+    @raise Spanner_util.Limits.Spanner_error [(Eval_failure _)] when
+    the sum passes [max_int]. *)
 val total_len : t -> int
 
 (** [path t] is the backing file, if any. *)

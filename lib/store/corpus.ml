@@ -1,4 +1,5 @@
 module Limits = Spanner_util.Limits
+module Checked = Spanner_util.Checked
 module Slp = Spanner_slp.Slp
 module Doc_db = Spanner_slp.Doc_db
 
@@ -89,6 +90,9 @@ let doc_count t = Array.length t.docs
 let sum f t = Array.fold_left (fun acc a -> acc + f a) 0 t.shards
 
 let node_count = sum Arena.node_count
-let total_len = sum Arena.total_len
+let total_len t =
+  Array.fold_left
+    (fun acc a -> Checked.add ~what:"document length" acc (Arena.total_len a))
+    0 t.shards
 let mapped_bytes = sum Arena.mapped_bytes
 let resident_bytes = sum Arena.resident_bytes

@@ -61,7 +61,9 @@ val doc_count : t -> int
     shards is counted per shard — shards are self-contained). *)
 val node_count : t -> int
 
-(** [total_len t] sums document lengths over shards. *)
+(** [total_len t] sums document lengths over shards.
+    @raise Spanner_util.Limits.Spanner_error [(Eval_failure _)] when
+    the sum passes [max_int]. *)
 val total_len : t -> int
 
 val mapped_bytes : t -> int

@@ -240,8 +240,6 @@ let clear s = Bytes.fill s.bits 0 (Bytes.length s.bits) '\000'
 
 let hash s = Hashtbl.hash s.bits
 
-let key s = Bytes.to_string s.bits
-
 let compare a b =
   let c = Int.compare a.n b.n in
   if c <> 0 then c else Bytes.compare a.bits b.bits

@@ -98,7 +98,8 @@ val clear : t -> unit
 val hash : t -> int
 
 (** Hashtables keyed by content: the subset tables of determinization
-    and of the on-the-fly containment checks.  A key must not be
+    (which the per-document product pass shares) and of the on-the-fly
+    containment checks.  A key must not be
     mutated while it is in a table. *)
 module Tbl : Hashtbl.S with type key = t
 
@@ -107,11 +108,6 @@ module Tbl : Hashtbl.S with type key = t
     (of capacity [capacity]) of the [i] paired with it.  The visited
     set of a product of a state with a subset. *)
 val seen_pair : t Tbl.t -> capacity:int -> int -> t -> bool
-
-(** [key s] is the canonical content key of [s]: two bitsets of equal
-    capacity have equal keys iff they are {!equal}.  Intended as a
-    hashtable key for interning state subsets without bucket scans. *)
-val key : t -> string
 
 (** [compare a b] is a total order compatible with {!equal}. *)
 val compare : t -> t -> int

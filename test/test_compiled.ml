@@ -2,11 +2,13 @@
 
    - Compiled = Evset.eval (the regular-spanner oracle) on random
      (spanner, document) pairs — same relation, duplicate-free, same
-     cardinality; both for raw and determinised automata (the latter
-     exercises the dense single-target letter table).
+     cardinality; both for raw and determinised automata.
    - of_evset's subset construction: the compiled automaton is
      deterministic with at most as many states as the automaton as
      built, or (for unions with a blow-up) exactly that automaton.
+   - The enumeration order: compiling an automaton and compiling its
+     determinisation give the same tuple list, the same stats and the
+     same cardinal, whether or not the former trips its cap.
    - Batch evaluation is deterministic: Plan.relations over plain
      documents with 1 domain equals 4 domains, element by element.
    - The Charset byte-class helper and the domain pool that the engine
@@ -105,13 +107,9 @@ let prop_compiled_equals_reference =
     (fun (f, doc) -> agrees (Evset.of_formula f) doc)
 
 let prop_compiled_equals_reference_det =
-  QCheck2.Test.make
-    ~name:"compiled = reference on determinised automata (dense letter table)" ~count:400
-    gen_pair ~print:print_pair
-    (fun (f, doc) ->
-      let e = Evset.determinize (Evset.of_formula f) in
-      let ct = Compiled.of_evset e in
-      Compiled.is_letter_deterministic ct && agrees e doc)
+  QCheck2.Test.make ~name:"compiled = reference on determinised automata" ~count:400 gen_pair
+    ~print:print_pair
+    (fun (f, doc) -> agrees (Evset.determinize (Evset.of_formula f)) doc)
 
 (* Ambiguous, and its subset construction needs 517 states where the
    automaton as built has 58: a union with it compiles as built. *)
@@ -125,10 +123,28 @@ let prop_deterministic_or_as_built =
     (fun (blowup, (f, doc)) ->
       let e = Evset.of_formula (if blowup then Regex_formula.alt f ambiguous else f) in
       let ct = Compiled.of_evset e in
-      (if Compiled.is_deterministic ct then
-         (not blowup) && Compiled.states ct <= Evset.size e && Compiled.is_letter_deterministic ct
+      (if Compiled.is_deterministic ct then (not blowup) && Compiled.states ct <= Evset.size e
        else Compiled.states ct = Evset.size e)
       && agrees e doc)
+
+(* The tuple list, stats and cardinal of [ct] on [doc]. *)
+let stream ct doc =
+  let p = Compiled.prepare ct doc in
+  let cur = Compiled.cursor p in
+  (List.of_seq (Seq.of_dispenser (fun () -> Compiled.cursor_next cur)), Compiled.stats p,
+   Compiled.cardinal p)
+
+let prop_same_order =
+  QCheck2.Test.make
+    ~name:"of_evset e and of_evset (determinize e): same tuple list, stats and cardinal"
+    ~count:300
+    QCheck2.Gen.(pair bool gen_pair)
+    ~print:(fun (blowup, p) -> print_pair p ^ if blowup then " (∪ ambiguous)" else "")
+    (fun (blowup, (f, doc)) ->
+      let e = Evset.of_formula (if blowup then Regex_formula.alt f ambiguous else f) in
+      let tuples, stats, cardinal = stream (Compiled.of_evset e) doc in
+      let tuples', stats', cardinal' = stream (Compiled.of_evset (Evset.determinize e)) doc in
+      List.equal Span_tuple.equal tuples tuples' && stats = stats' && cardinal = cardinal')
 
 (* ------------------------------------------------------------------ *)
 (* Parallel batch determinism *)
@@ -233,6 +249,7 @@ let () =
             prop_compiled_equals_reference;
             prop_compiled_equals_reference_det;
             prop_deterministic_or_as_built;
+            prop_same_order;
           ] );
       ("batch", to_alcotest [ prop_eval_all_deterministic ]);
       ( "tables",

@@ -331,6 +331,29 @@ let arena_wrapping_length () =
   set_word 7 (fnv 0 56);
   corrupt (fun () -> Arena.validate (Arena.of_string (Bytes.to_string b)))
 
+(* Two documents of length 2^61 sum to 2^62, one past max_int: every
+   total over them is a typed error, and the planner never sees a
+   wrapped byte count. *)
+let total_len_past_max_int () =
+  let db = Doc_db.create () in
+  let store = Doc_db.store db in
+  let rec double id k = if k = 0 then id else double (Slp.pair store id id) (k - 1) in
+  let docs = [ ("a", double (Slp.leaf store 'a') 61); ("b", double (Slp.leaf store 'b') 61) ] in
+  List.iter (fun (name, id) -> Doc_db.add db name id) docs;
+  let overflows what f =
+    match f () with
+    | n -> Alcotest.failf "%s: expected a typed error, got %d" what n
+    | exception Limits.Spanner_error (Limits.Eval_failure _) -> ()
+  in
+  overflows "Doc_db.total_len" (fun () -> Doc_db.total_len db);
+  let ct = Compiled.of_formula (Regex_formula.parse ".*!x{ab}.*") in
+  overflows "Plan.make over the database" (fun () ->
+      ignore (Plan.make ct (Plan.Db db));
+      0);
+  let a = Arena.of_string (Arena.pack_bytes store docs) in
+  overflows "Arena.total_len" (fun () -> Arena.total_len a);
+  overflows "Corpus.total_len" (fun () -> Corpus.total_len (Corpus.of_arenas [| a |]))
+
 let arena_file_round_trip () =
   with_tmp_dir (fun dir ->
       let db = sample_db () in
@@ -418,6 +441,7 @@ let () =
           tc "header damage fails at open" `Quick arena_hostile_open;
           tc "body damage fails typed at access/validate" `Quick arena_hostile_body;
           tc "a wrapping derived length fails validate" `Quick arena_wrapping_length;
+          tc "total lengths past max_int are typed errors" `Quick total_len_past_max_int;
         ] );
       ( "files",
         [
