@@ -84,11 +84,45 @@ let same_names names x y = names x = names y
 (* ------------------------------------------------------------------ *)
 (* Targets *)
 
-(* The documents a parsed formula is evaluated on: a fixed one over
-   the target's own bytes, and the input's first bytes — the very bytes
-   its charsets name, in an order no fixed document has.  Short, so the
+(* A random word the automaton [e] accepts: a walk from its initial
+   state that follows random arcs (a letter arc reads a random member
+   of its charset, preferring the formula's own bytes) and may stop in
+   any final state, or [None] when the walk strands.  Short, so the
    unbudgeted oracle stays cheap. *)
-let formula_docs s = [ "ab0x 9a1"; String.sub s 0 (min 12 (String.length s)) ]
+let accepted_word rng e =
+  let module E = Spanner_core.Evset in
+  let buf = Buffer.create 16 in
+  let letter cs =
+    let own = List.filter (fun c -> String.contains "ab01x 9" c) (Spanner_fa.Charset.elements cs) in
+    let pool = Array.of_list (if own <> [] then own else Spanner_fa.Charset.elements cs) in
+    X.choose rng pool
+  in
+  let rec walk q steps =
+    let arcs = ref [] in
+    E.iter_letter_arcs e q (fun cs dst -> arcs := `Letter (cs, dst) :: !arcs);
+    E.iter_set_arcs e q (fun _ dst -> arcs := `Set dst :: !arcs);
+    let final = E.is_final e q in
+    if final && (!arcs = [] || steps >= 8 || X.int rng 4 = 0) then Some (Buffer.contents buf)
+    else if !arcs = [] || steps >= 16 then None
+    else
+      match X.choose rng (Array.of_list !arcs) with
+      | `Letter (cs, dst) ->
+          Buffer.add_char buf (letter cs);
+          walk dst (steps + 1)
+      | `Set dst -> walk dst (steps + 1)
+  in
+  walk (E.initial e) 0
+
+(* The documents a parsed formula is evaluated on: words it accepts,
+   drawn from its own automaton, and their concatenation (accepted
+   again by starred formulas).  A formula that strands every walk gets
+   the input's first bytes instead. *)
+let formula_docs rng s e =
+  let words = List.filter_map (fun _ -> accepted_word rng e) [ 1; 2 ] in
+  let docs = match words with [ w1; w2 ] -> [ w1; w2; w1 ^ w2 ] | ws -> ws in
+  match List.sort_uniq compare docs with
+  | [] -> [ String.sub s 0 (min 12 (String.length s)) ]
+  | docs -> docs
 
 (* The tuple list, stats and cardinal of [ct] on [doc]. *)
 let stream ct doc =
@@ -97,6 +131,72 @@ let stream ct doc =
   ( List.of_seq (Seq.of_dispenser (fun () -> Spanner_core.Compiled.cursor_next cur)),
     Spanner_core.Compiled.stats p,
     Spanner_core.Compiled.cardinal p )
+
+(* Compared streams, and how many of them held two or more tuples: the
+   share that can tell one order from another. *)
+let streams = ref 0
+let multi = ref 0
+
+let counted tuples =
+  incr streams;
+  if List.length tuples >= 2 then incr multi
+
+(* The SLP engines on [doc]: over one store, [Slp_spanner.cursor] and
+   [Incr.cursor] must emit the same runs in the same order, and their
+   tuples must be [Compiled.eval]'s. *)
+let slp_engines ct doc =
+  let module Slp_spanner = Spanner_slp.Slp_spanner in
+  let module Incr = Spanner_incr.Incr in
+  let drain next = List.of_seq (Seq.of_dispenser next) in
+  let db = Spanner_slp.Doc_db.create () in
+  let id = Spanner_slp.Doc_db.add_string db "doc" doc in
+  let engine = Slp_spanner.of_compiled ct (Spanner_slp.Doc_db.store db) in
+  Slp_spanner.prepare_gauge (Limits.start budget) engine id;
+  let native =
+    let cur = Slp_spanner.cursor engine id in
+    drain (fun () -> Slp_spanner.cursor_next cur)
+  in
+  let incr =
+    let cur = Incr.cursor ~gauge:(Limits.start budget) (Incr.create ct db) id in
+    drain (fun () -> Incr.cursor_next cur)
+  in
+  counted native;
+  if not (List.equal Spanner_core.Span_tuple.equal native incr) then
+    failwith (Printf.sprintf "Slp_spanner.cursor and Incr.cursor disagree on %S" doc);
+  let vars = Spanner_core.Compiled.vars ct in
+  if
+    not
+      (Spanner_core.Span_relation.equal
+         (Spanner_core.Span_relation.of_list vars native)
+         (Spanner_core.Compiled.eval ~limits:budget ct doc))
+  then failwith (Printf.sprintf "the SLP engines disagree with Compiled.eval on %S" doc)
+
+(* Every engine on [e]'s documents.  The compiled automaton — the
+   subset construction's, or the automaton as built when it trips its
+   cap — must answer like the oracle on the automaton as built; compiling
+   its determinisation must enumerate the same tuples in the same order,
+   with the same DAG; and the SLP engines must agree with both. *)
+let differential e docs =
+  let ct = Spanner_core.Compiled.of_evset ~limits:budget e in
+  let det =
+    Spanner_core.Compiled.of_evset ~limits:budget (Spanner_core.Evset.determinize ~limits:budget e)
+  in
+  List.iter
+    (fun doc ->
+      let compiled = Spanner_core.Compiled.eval ~limits:budget ct doc in
+      if not (Spanner_core.Span_relation.equal compiled (Spanner_core.Evset.eval e doc)) then
+        failwith (Printf.sprintf "compiled automaton disagrees with Evset.eval on %S" doc);
+      let tuples, stats, cardinal = stream ct doc in
+      let tuples', stats', cardinal' = stream det doc in
+      counted tuples;
+      if
+        not
+          (List.equal Spanner_core.Span_tuple.equal tuples tuples'
+          && stats = stats' && cardinal = cardinal')
+      then failwith (Printf.sprintf "the determinised automaton enumerates otherwise on %S" doc);
+      (* an SLP derives a nonempty document only *)
+      if doc <> "" then slp_engines ct doc)
+    docs
 
 type target = { name : string; alphabet : string; run : string -> unit }
 
@@ -111,36 +211,19 @@ let targets =
             reparsed ~parse:Spanner_core.Regex_formula.parse
               ~print:Spanner_core.Regex_formula.to_string ~same:(same_names formula_names) s
           in
-          (* the compiled automaton — the subset construction's, or
-             the automaton as built when it trips its cap — must answer
-             like the oracle on the automaton as built *)
+          let rng = X.create (Hashtbl.hash s) in
           let e = Spanner_core.Evset.of_formula ~limits:budget f in
-          let ct = Spanner_core.Compiled.of_evset ~limits:budget e in
-          let docs = formula_docs s in
-          List.iter
-            (fun doc ->
-              let compiled = Spanner_core.Compiled.eval ~limits:budget ct doc in
-              if not (Spanner_core.Span_relation.equal compiled (Spanner_core.Evset.eval e doc))
-              then failwith (Printf.sprintf "compiled automaton disagrees with Evset.eval on %S" doc))
-            docs;
-          (* and compiling its determinisation enumerates the same
-             tuples in the same order, with the same DAG *)
-          let det =
-            Spanner_core.Compiled.of_evset ~limits:budget
-              (Spanner_core.Evset.determinize ~limits:budget e)
-          in
-          List.iter
-            (fun doc ->
-              let tuples, stats, cardinal = stream ct doc in
-              let tuples', stats', cardinal' = stream det doc in
-              if
-                not
-                  (List.equal Spanner_core.Span_tuple.equal tuples tuples'
-                  && stats = stats' && cardinal = cardinal')
-              then
-                failwith
-                  (Printf.sprintf "the determinised automaton enumerates otherwise on %S" doc))
-            docs);
+          let docs = formula_docs rng s e in
+          differential e docs;
+          (* unanchored, on each document twice over, padded with the
+             formula's bytes: most of these streams hold several tuples,
+             so an engine that emits them in another order is caught *)
+          let any = Spanner_core.Regex_formula.star (Spanner_core.Regex_formula.chars Spanner_fa.Charset.full) in
+          let padded = Spanner_core.Regex_formula.(concat any (concat f any)) in
+          let pad () = X.string rng "ab01x 9" (X.int rng 4) in
+          differential
+            (Spanner_core.Evset.of_formula ~limits:budget padded)
+            (List.map (fun d -> pad () ^ d ^ pad () ^ d ^ pad ()) docs));
     };
     {
       name = "refl";
@@ -380,5 +463,8 @@ let () =
     Printf.eprintf "%d crash(es) out of %d inputs (seed %d)\n%!" !crashes !iters !seed;
     exit 1
   end
-  else Printf.printf "fuzz: %d inputs across %d targets, 0 crashes (seed %d)\n%!" !iters
-      (Array.length targets) !seed
+  else
+    Printf.printf
+      "fuzz: %d inputs across %d targets, 0 crashes (seed %d); %d formula streams compared, %d with \
+       2+ tuples\n%!"
+      !iters (Array.length targets) !seed !streams !multi

@@ -23,13 +23,16 @@
     positions and state subsets — trims it to useful nodes, and
     compresses markerless chains with jump pointers.  Its subsets come
     from the same subset table as compile-time determinisation
-    ({!Evset.subsets}), built afresh per document: each subset's label
-    groups, successors per byte class and acceptance are computed once,
-    and a layer finds its node for a subset in one array holding each
-    subset's latest node, whose boundary tells its layer.
+    ({!Evset.subsets}), built afresh per document, with each subset's
+    set-arc row memoised as an array.  The DAG itself is int columns:
+    nodes are numbered as discovered, so the node index is the FIFO of
+    the breadth-first build, and a node's actions are a contiguous run
+    of (label, target) cells.  A backward pass over the indices computes
+    usefulness, path counts and jump pointers.
     On a deterministic automaton every subset is a single state.  Every
     maximal path of the trimmed DAG is one result tuple, so the
-    {!cursor} walk needs no duplicate elimination.
+    {!cursor} walk needs no duplicate elimination; it walks action
+    indices on an int stack and allocates only the tuples it returns.
 
     This module is the one way into that engine: compile with
     {!of_evset}, preprocess with {!prepare}, then pull tuples with
@@ -100,9 +103,6 @@ val classes : t -> int
 (** [initial ct] is the initial state. *)
 val initial : t -> int
 
-(** [is_final_state ct q] tests finality of state [q]. *)
-val is_final_state : t -> int -> bool
-
 (** [iter_set_arcs ct q f] applies [f label_id dst] to each set arc
     leaving [q], in row order. *)
 val iter_set_arcs : t -> int -> (int -> int -> unit) -> unit
@@ -110,56 +110,66 @@ val iter_set_arcs : t -> int -> (int -> int -> unit) -> unit
 (** [class_of_char ct c] is the byte class of [c] (see {!classes}). *)
 val class_of_char : t -> char -> int
 
-(** [class_matrix ct cls] is the one-letter transition matrix of byte
-    class [cls]: entry [(p, q)] iff some letter arc labelled with a
-    charset containing the class takes [p] to [q].  Every byte of the
-    class has this same matrix — the SLP engine keeps one leaf matrix
-    per class instead of one per character.
-    @raise Invalid_argument if [cls] is not a class of [ct]. *)
-val class_matrix : t -> int -> Spanner_util.Bitmatrix.t
-
-(** [set_step_matrix ct] is the single-set-arc step: entry [(p, q)]
-    iff some set arc takes [p] to [q], any label. *)
-val set_step_matrix : t -> Spanner_util.Bitmatrix.t
-
 (** [ending_states ct] is the set of states that close a run: final
     states, and states with a set arc into a final state (the marker
     set placed at the trailing boundary). *)
-val ending_states : t -> Spanner_util.Bitset.t
+val ending_states : t -> Spanner_util.Wordrel.row
 
-(** [tuple_of_picks ct picks extra] decodes one run into its tuple.
-    [picks] holds the run's set arcs as (0-based boundary, label id)
-    pairs in boundary order; [extra] is an optional last pick (the
-    trailing-boundary set arc of an ending state).  Shared by every
-    engine that enumerates runs over this automaton. *)
-val tuple_of_picks :
-  t -> (int * int) Spanner_util.Vec.t -> (int * int) option -> Span_tuple.t
+(** [endings ct q] lists the ways a run that reached [q] closes, in the
+    order the SLP engines emit them: the trailing set arcs into a final
+    state, by label in reverse row order, then [-1] (no trailing set
+    arc) when [q] is final itself. *)
+val endings : t -> int -> int list
+
+(** {1 Decoding runs}
+
+    Every engine that enumerates runs over this automaton collects a
+    run's set arcs as picks — (0-based boundary, label id) pairs in
+    boundary order — and decodes them into its tuple here. *)
+
+type picks
+(** A growable stack of picks in two int columns, with the decoder's
+    scratch: pushing allocates nothing once the columns have grown. *)
+
+(** [picks ct] is an empty pick stack for runs of [ct]. *)
+val picks : t -> picks
+
+val picks_length : picks -> int
+val push_pick : picks -> int -> int -> unit
+
+(** [truncate_picks pk k] drops every pick but the first [k]. *)
+val truncate_picks : picks -> int -> unit
+
+(** [tuple_of_picks ct pk at lbl] decodes the run whose picks are [pk],
+    followed by the pick [(at, lbl)] when [lbl >= 0] (the
+    trailing-boundary set arc of an ending state). *)
+val tuple_of_picks : t -> picks -> int -> int -> Span_tuple.t
 
 (** {1 Per-factor transition summaries}
 
     The behaviour of the compiled automaton over one document factor,
-    as a pair of boolean state×state matrices: [pure] relates [p] to
+    as a pair of boolean state×state relations: [pure] relates [p] to
     [q] when some run over the factor from [p] to [q] reads letters
     only; [mixed] when some such run also takes at least one set arc
-    (placing markers).  Summaries form a monoid under
-    {!summary_compose}, with {!summary_of_terminal} on single
+    (placing markers).  Summaries are blocks of a
+    {!Spanner_util.Wordrel} slab and form a monoid under
+    {!Spanner_util.Wordrel.compose}, with {!add_class_summary} on single
     characters — exactly the shape needed to evaluate a spanner
-    bottom-up over an SLP and to reuse cached summaries of shared
-    nodes under complex document editing (§4.2–4.3; the incremental
-    subsystem {!Spanner_incr.Incr} builds on these). *)
+    bottom-up over an SLP and to reuse cached summaries of shared nodes
+    under complex document editing (§4.2–4.3; {!Spanner_slp.Slp_spanner}
+    and {!Spanner_incr.Incr} build on these).  The slab is functional —
+    pure kept as a state map — exactly when {!is_deterministic} holds. *)
 
-type summary = { pure : Spanner_util.Bitmatrix.t; mixed : Spanner_util.Bitmatrix.t }
+(** [summaries ct k] is an empty slab for summaries of [ct], whose
+    first chunk holds [k] of them. *)
+val summaries : t -> int -> Spanner_util.Wordrel.t
 
-(** [summary_of_terminal ct c] is the summary of the one-character
-    factor [c]: the letter step, and one optional preceding set arc
-    for the mixed part.  O(states²/word + set arcs). *)
-val summary_of_terminal : t -> char -> summary
-
-(** [summary_compose l r] is the summary of the concatenation X·Y from
-    the summaries of X and Y: pure runs compose pure parts; a mixed
-    run places a marker in X or in Y (or both).  Three boolean matrix
-    products. *)
-val summary_compose : summary -> summary -> summary
+(** [add_class_summary ct slab cls] adds to [slab] the summary of a
+    one-character factor of byte class [cls] (every byte of a class has
+    the same one), and returns its slot: the letter step, and one
+    optional preceding set arc for the mixed part.
+    @raise Invalid_argument if [cls] is not a class of [ct]. *)
+val add_class_summary : t -> Spanner_util.Wordrel.t -> int -> int
 
 (** {1 Per-document preprocessing and enumeration} *)
 
@@ -185,7 +195,9 @@ val prepare_with_gauge : Spanner_util.Limits.gauge -> t -> string -> prepared
 val prepared_vars : prepared -> Variable.Set.t
 
 (** [cardinal p] is the number of result tuples, O(1) after
-    preparation (path counts are accumulated during the trim pass). *)
+    preparation (path counts are accumulated during the trim pass).
+    @raise Spanner_util.Limits.Spanner_error [(Eval_failure _)] when the
+    count exceeds [max_int] (preparing and enumerating still work). *)
 val cardinal : prepared -> int
 
 (** Preprocessing statistics; O(1) — counts are recorded at

@@ -202,7 +202,7 @@ type subsets = {
   index : int Bitset.Tbl.t;
   sets : Bitset.t Vec.t;
   accepts : bool Vec.t;
-  rows : (int * int) list option Vec.t;
+  rows : int array option Vec.t;
   mutable succ : int array; (* subset × class -> successor, -1 none, [unknown] *)
   label_stamp : int array; (* label -> the subset whose row last grouped it *)
   label_tgt : Bitset.t array; (* label -> its targets from that subset *)
@@ -254,7 +254,7 @@ let subsets a = make_subsets ~admit:ignore a
 let accepts t d = Vec.get t.accepts d
 
 (* Labels in first-discovery order: states ascending, each state's set
-   arcs in arc order. *)
+   arcs in arc order; targets are interned in that order too. *)
 let set_row t d =
   match Vec.get t.rows d with
   | Some row -> row
@@ -272,7 +272,12 @@ let set_row t d =
               Bitset.add t.label_tgt.(lbl) dst)
             t.over.set_rows.(q))
         (Vec.get t.sets d);
-      let row = List.map (fun lbl -> (lbl, intern_subset t t.label_tgt.(lbl))) (List.rev !found) in
+      let row = Array.make (2 * List.length !found) 0 in
+      List.iteri
+        (fun i lbl ->
+          row.(2 * i) <- lbl;
+          row.((2 * i) + 1) <- intern_subset t t.label_tgt.(lbl))
+        (List.rev !found);
       Vec.set t.rows d (Some row);
       row
 
@@ -332,7 +337,10 @@ let determinize_interned g ~cap a =
           states;
           start = 0;
           accepting = Vec.to_array t.accepts;
-          set_rows = Array.init states (set_row t);
+          set_rows =
+            Array.init states (fun d ->
+                let row = set_row t d in
+                List.init (Array.length row / 2) (fun i -> (row.(2 * i), row.((2 * i) + 1))));
           cells =
             Array.init (states * nclasses) (fun cell ->
                 match t.succ.(cell) with -1 -> [] | s -> [ s ]);

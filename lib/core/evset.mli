@@ -95,8 +95,9 @@ val subsets : interned -> subsets
 
 (** [set_row t d] is subset [d]'s set arcs grouped by label: each label
     once, in the order subset [d]'s states (ascending) first use it,
-    paired with the subset of its targets. *)
-val set_row : subsets -> int -> (int * int) list
+    paired with the subset of its targets, as [[| label; target; label;
+    target; ... |]].  The row is computed once; do not mutate it. *)
+val set_row : subsets -> int -> int array
 
 (** [step t d cls] is the subset of letter targets of subset [d] under
     byte class [cls], or [-1] when it is empty. *)

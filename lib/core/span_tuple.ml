@@ -64,8 +64,23 @@ let hierarchical t =
   in
   pairs spans
 
+let add_to_buffer buf t =
+  Buffer.add_char buf '(';
+  let first = ref true in
+  Variable.Map.iter
+    (fun x (s : Span.t) ->
+      if not !first then Buffer.add_string buf ", ";
+      first := false;
+      Buffer.add_string buf (Variable.name x);
+      Buffer.add_string buf " ↦ [";
+      Buffer.add_string buf (string_of_int s.left);
+      Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int s.right);
+      Buffer.add_string buf "⟩")
+    t;
+  Buffer.add_char buf ')'
+
 let pp ppf t =
-  let pp_binding ppf (x, s) = Format.fprintf ppf "%a ↦ %a" Variable.pp x Span.pp s in
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp_binding)
-    (bindings t)
+  let buf = Buffer.create 64 in
+  add_to_buffer buf t;
+  Format.pp_print_string ppf (Buffer.contents buf)

@@ -70,5 +70,10 @@ val satisfies_equality : t -> string -> Variable.Set.t -> bool
     (§2.2). *)
 val hierarchical : t -> bool
 
-(** [pp ppf t] prints [(x ↦ [1,3⟩, y ↦ ⊥)]-style renderings. *)
+(** [add_to_buffer buf t] appends [t]'s rendering, [(x ↦ [1,3⟩, y ↦
+    [3,5⟩)], its bindings in variable order.  The one tuple writer:
+    {!pp} and serve's R-lines both use it. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** [pp ppf t] prints [t] as {!add_to_buffer} renders it. *)
 val pp : Format.formatter -> t -> unit

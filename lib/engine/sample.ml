@@ -20,7 +20,11 @@ let estimate ?limits ?bytes ct doc =
   {
     sample_bytes = String.length sample;
     doc_bytes = String.length doc;
-    tuples = Compiled.cardinal p;
+    (* a count past max_int only orders operands: saturate *)
+    tuples =
+      (match Compiled.cardinal p with
+      | n -> n
+      | exception Limits.Spanner_error (Limits.Eval_failure _) -> max_int);
     nodes = (Compiled.stats p).Compiled.nodes;
   }
 

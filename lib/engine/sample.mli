@@ -21,7 +21,7 @@ val default_bytes : int
 type estimate = {
   sample_bytes : int;  (** bytes actually sampled (≤ the document) *)
   doc_bytes : int;  (** full document length *)
-  tuples : int;  (** result tuples on the sampled prefix *)
+  tuples : int;  (** result tuples on the sampled prefix, [max_int] past it *)
   nodes : int;  (** useful product-DAG nodes on the prefix *)
 }
 

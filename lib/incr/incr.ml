@@ -3,15 +3,18 @@ module Slp = Spanner_slp.Slp
 module Doc_db = Spanner_slp.Doc_db
 module Cde = Spanner_slp.Cde
 module Lru = Spanner_util.Lru
-module Bitmatrix = Spanner_util.Bitmatrix
+module Wordrel = Spanner_util.Wordrel
 module Vec = Spanner_util.Vec
 module Limits = Spanner_util.Limits
 
+(* A cached summary is a one-block slab ({!Compiled.summaries}): the LRU
+   may evict it while a cursor still holds it, and it stays valid for
+   that cursor, which a slot in a shared slab would not. *)
 type session = {
   ct : Compiled.t;
   db : Doc_db.t;
-  cache : (Slp.id, Compiled.summary) Lru.t;
-  ends : Spanner_util.Bitset.t;  (* states that close a run: final, or a set arc from final *)
+  cache : (Slp.id, Wordrel.t) Lru.t;
+  ends : Wordrel.row;  (* states that close a run: final, or a set arc from final *)
   mutable created : int;
 }
 
@@ -52,29 +55,31 @@ let rec summary_g g s id =
       (* one unit of fuel per summary actually computed (a cache miss):
          composing is the states³/word work the budget must bound *)
       Limits.check g;
-      let sum =
-        match Slp.node (Doc_db.store s.db) id with
-        | Slp.Leaf c -> Compiled.summary_of_terminal s.ct c
-        | Slp.Pair (l, r) -> Compiled.summary_compose (summary_g g s l) (summary_g g s r)
-      in
+      let sum = Compiled.summaries s.ct 1 in
+      (match Slp.node (Doc_db.store s.db) id with
+      | Slp.Leaf c -> ignore (Compiled.add_class_summary s.ct sum (Compiled.class_of_char s.ct c))
+      | Slp.Pair (l, r) ->
+          (* right child first: the order of misses decides which
+             entries a full cache evicts *)
+          let sr = summary_g g s r in
+          let sl = summary_g g s l in
+          Wordrel.compose sl 0 sr 0 sum (Wordrel.alloc sum));
       Lru.add s.cache id sum;
       sum
-
-let summary s id = summary_g (Limits.unlimited ()) s id
 
 (* ------------------------------------------------------------------ *)
 (* Pull enumeration                                                    *)
 
 (* Enumerate the marker-placing runs init→q over node [id], guided by
-   the summary matrices so that every branch taken yields at least one
-   run (the §4.2 scheme).  The same frame-stack machine as the native
-   SLP cursor ({!Spanner_slp.Slp_spanner.cursor}), and the same
-   emission order, over cached summaries instead of prepared node
-   matrices.  Summaries carry no transposed twins (they are LRU-cached
-   and transient), so split states are probed one by one.  Metering:
-   one unit per node descent, plus one per summary miss on the way.
-   A nondeterministic compiled automaton may yield one tuple along
-   several runs; [eval] collects into a relation, which dedups. *)
+   the summaries so that every branch taken yields at least one run
+   (the §4.2 scheme).  The same frame-stack machine as the native SLP
+   cursor ({!Spanner_slp.Slp_spanner.cursor}), and the same emission
+   order, over cached summaries instead of prepared blocks: split states
+   are found by the same word scan ({!Wordrel.first_split}) over each
+   summary's transposed rows.  Metering: one unit per node descent, plus
+   one per summary miss on the way.  A nondeterministic compiled
+   automaton may yield one tuple along several runs; [eval] collects
+   into a relation, which dedups. *)
 
 type task =
   | Emit
@@ -89,8 +94,8 @@ type frame =
       g_off : int;
       g_roff : int;
       g_k : task;
-      s_l : Compiled.summary;
-      s_r : Compiled.summary;
+      s_l : Wordrel.t;
+      s_r : Wordrel.t;
       mutable g_mid : int;
       mutable g_stage : int;  (* within g_mid: 0 try L, 1 try R, 2 try B *)
     }
@@ -108,13 +113,12 @@ type cursor = {
   k_root : Slp.id;
   k_len : int;
   k_n : int;
-  k_picks : (int * int) Vec.t;
+  k_pk : Compiled.picks;
   k_stack : frame Vec.t;
-  k_pure : Bitmatrix.t;  (* root summary rows, held for the q scan *)
-  k_mixed : Bitmatrix.t;
+  k_sum : Wordrel.t;  (* the root's summary, held for the q scan *)
   mutable k_q : int;
-  mutable k_endings : (int * int) option list;
-  mutable k_ending : (int * int) option;
+  mutable k_endings : int list;  (* trailing labels, -1 for none *)
+  mutable k_ending : int;
   mutable k_emit_pure : bool;
   mutable k_start_mixed : bool;
   mutable k_done : bool;
@@ -129,13 +133,12 @@ let cursor ?gauge s id =
     k_root = id;
     k_len = Slp.len (Doc_db.store s.db) id;
     k_n = Compiled.states s.ct;
-    k_picks = Vec.create ();
+    k_pk = Compiled.picks s.ct;
     k_stack = Vec.create ();
-    k_pure = root.Compiled.pure;
-    k_mixed = root.Compiled.mixed;
+    k_sum = root;
     k_q = -1;
     k_endings = [];
-    k_ending = None;
+    k_ending = -1;
     k_emit_pure = false;
     k_start_mixed = false;
     k_done = false;
@@ -147,10 +150,10 @@ let start_expl cur id p q off k =
   let s = cur.k_s in
   match Slp.node (Doc_db.store s.db) id with
   | Slp.Leaf _ ->
-      let letter = (summary_g cur.k_g s id).Compiled.pure in
+      let letter = summary_g cur.k_g s id in
       let arcs = Vec.create () in
       Compiled.iter_set_arcs s.ct p (fun lbl p' ->
-          if Bitmatrix.get letter p' q then ignore (Vec.push arcs lbl));
+          if Wordrel.pure_mem letter 0 p' q then ignore (Vec.push arcs lbl));
       ignore
         (Vec.push cur.k_stack
            (Leaf_f
@@ -159,7 +162,7 @@ let start_expl cur id p q off k =
                 f_k = k;
                 f_arcs = Vec.to_array arcs;
                 f_arc = 0;
-                f_picks = Vec.length cur.k_picks;
+                f_picks = Compiled.picks_length cur.k_pk;
               }))
   | Slp.Pair (l, r) ->
       ignore
@@ -181,7 +184,7 @@ let start_expl cur id p q off k =
 
 let perform cur k =
   match k with
-  | Emit -> Some (Compiled.tuple_of_picks cur.k_s.ct cur.k_picks cur.k_ending)
+  | Emit -> Some (Compiled.tuple_of_picks cur.k_s.ct cur.k_pk cur.k_len cur.k_ending)
   | Expl x ->
       start_expl cur x.x_id x.x_p x.x_q x.x_off x.x_k;
       None
@@ -189,7 +192,7 @@ let perform cur k =
 let step cur =
   match Vec.last cur.k_stack with
   | Leaf_f f ->
-      Vec.truncate cur.k_picks f.f_picks;
+      Compiled.truncate_picks cur.k_pk f.f_picks;
       if f.f_arc >= Array.length f.f_arcs then begin
         ignore (Vec.pop cur.k_stack);
         None
@@ -197,39 +200,36 @@ let step cur =
       else begin
         let lbl = f.f_arcs.(f.f_arc) in
         f.f_arc <- f.f_arc + 1;
-        ignore (Vec.push cur.k_picks (f.f_off, lbl));
+        Compiled.push_pick cur.k_pk f.f_off lbl;
         perform cur f.f_k
       end
   | Pair_f f ->
       let descended = ref false in
-      while (not !descended) && f.g_mid < cur.k_n do
+      while (not !descended) && f.g_mid >= 0 && f.g_mid < cur.k_n do
         let mid = f.g_mid in
         match f.g_stage with
         | 0 ->
-            f.g_stage <- 1;
-            if
-              Bitmatrix.get f.s_l.Compiled.mixed f.g_p mid
-              && Bitmatrix.get f.s_r.Compiled.pure mid f.g_q
-            then begin
-              descended := true;
-              start_expl cur f.g_l f.g_p mid f.g_off f.g_k
+            let best = Wordrel.first_split f.s_l 0 f.g_p f.s_r 0 f.g_q mid in
+            if best < 0 then f.g_mid <- -1
+            else begin
+              f.g_mid <- best;
+              f.g_stage <- 1;
+              if Wordrel.mixed_mem f.s_l 0 f.g_p best && Wordrel.pure_mem f.s_r 0 best f.g_q then
+              begin
+                descended := true;
+                start_expl cur f.g_l f.g_p best f.g_off f.g_k
+              end
             end
         | 1 ->
             f.g_stage <- 2;
-            if
-              Bitmatrix.get f.s_l.Compiled.pure f.g_p mid
-              && Bitmatrix.get f.s_r.Compiled.mixed mid f.g_q
-            then begin
+            if Wordrel.pure_mem f.s_l 0 f.g_p mid && Wordrel.mixed_mem f.s_r 0 mid f.g_q then begin
               descended := true;
               start_expl cur f.g_r mid f.g_q f.g_roff f.g_k
             end
         | _ ->
             f.g_mid <- mid + 1;
             f.g_stage <- 0;
-            if
-              Bitmatrix.get f.s_l.Compiled.mixed f.g_p mid
-              && Bitmatrix.get f.s_r.Compiled.mixed mid f.g_q
-            then begin
+            if Wordrel.mixed_mem f.s_l 0 f.g_p mid && Wordrel.mixed_mem f.s_r 0 mid f.g_q then begin
               descended := true;
               start_expl cur f.g_l f.g_p mid f.g_off
                 (Expl { x_id = f.g_r; x_p = mid; x_q = f.g_q; x_off = f.g_roff; x_k = f.g_k })
@@ -245,7 +245,7 @@ let cursor_next cur =
   while !result == None && not cur.k_done do
     if cur.k_emit_pure then begin
       cur.k_emit_pure <- false;
-      result := Some (Compiled.tuple_of_picks ct cur.k_picks cur.k_ending)
+      result := Some (Compiled.tuple_of_picks ct cur.k_pk cur.k_len cur.k_ending)
     end
     else if cur.k_start_mixed then begin
       cur.k_start_mixed <- false;
@@ -254,33 +254,18 @@ let cursor_next cur =
     else if not (Vec.is_empty cur.k_stack) then result := step cur
     else begin
       match cur.k_endings with
-      | e :: rest ->
+      | ending :: rest ->
           cur.k_endings <- rest;
-          cur.k_ending <- e;
-          cur.k_emit_pure <- Bitmatrix.get cur.k_pure init cur.k_q;
-          cur.k_start_mixed <- Bitmatrix.get cur.k_mixed init cur.k_q
-      | [] -> (
-          let from = cur.k_q + 1 in
-          let q =
-            let ends = cur.k_s.ends in
-            let a =
-              Spanner_util.Bitset.first_common_from (Bitmatrix.row cur.k_pure init) ends from
-            in
-            let b =
-              Spanner_util.Bitset.first_common_from (Bitmatrix.row cur.k_mixed init) ends from
-            in
-            if a < 0 then b else if b < 0 then a else min a b
-          in
+          cur.k_ending <- ending;
+          cur.k_emit_pure <- Wordrel.pure_mem cur.k_sum 0 init cur.k_q;
+          cur.k_start_mixed <- Wordrel.mixed_mem cur.k_sum 0 init cur.k_q
+      | [] ->
+          let q = Wordrel.first_in_row cur.k_sum 0 init cur.k_s.ends (cur.k_q + 1) in
           if q < 0 then cur.k_done <- true
           else begin
             cur.k_q <- q;
-            let endings = ref [] in
-            if Compiled.is_final_state ct q then endings := None :: !endings;
-            Compiled.iter_set_arcs ct q (fun lbl q' ->
-                if Compiled.is_final_state ct q' then
-                  endings := Some (cur.k_len, lbl) :: !endings);
-            cur.k_endings <- !endings
-          end)
+            cur.k_endings <- Compiled.endings ct q
+          end
     end
   done;
   !result

@@ -6,13 +6,17 @@
     edit over a strongly balanced SLP creates only O(|φ|·log d) new
     nodes — all the structure below those nodes is shared with the
     pre-edit document.  This module caches, per (compiled spanner, SLP
-    node), the node's transition summary
-    ({!Spanner_core.Compiled.summary}: the state→state behaviour of
-    the automaton over the node's derived factor), so that evaluating
+    node), the node's transition summary (the state→state behaviour of
+    the automaton over the node's derived factor: a one-block
+    {!Spanner_util.Wordrel} slab, {!Spanner_core.Compiled.summaries}),
+    so that evaluating
     a spanner on a document reduces to combining cached summaries
     bottom-up; after an edit, only the freshly created nodes are ever
     computed, and re-evaluation costs O(new nodes · states³/word)
-    plus the output.
+    plus the output.  Summaries compose with the same kernel as the
+    SLP engine's sweep ({!Spanner_util.Wordrel.compose}); a summary
+    stays valid for a cursor that holds it even after the LRU evicts
+    it.
 
     A {!session} binds one compiled spanner to one document database
     and holds a bounded LRU cache ({!Spanner_util.Lru}) keyed by node
@@ -25,7 +29,8 @@
 
     Evaluation enumerates runs through the summary matrices exactly
     like {!Spanner_slp.Slp_spanner} (§4.2), but over the compiled
-    tables and the shared cache, with one pull machine ({!cursor}).
+    tables and the shared cache, with one pull machine ({!cursor})
+    that finds split states by the same word scans.
     {!eval} collects its runs into a relation, so the automaton as
     built — compiled when {!Spanner_core.Compiled.of_evset}'s subset
     construction trips its cap, and able to yield the same tuple along
@@ -63,10 +68,6 @@ val database : session -> Doc_db.t
     repeat tuples and set-semantics consumers must deduplicate.
     O(1): {!Spanner_core.Compiled.is_deterministic}. *)
 val nondeterministic : session -> bool
-
-(** [summary s id] is the cached (or freshly computed and cached)
-    transition summary of node [id]. *)
-val summary : session -> Slp.id -> Compiled.summary
 
 (** [eval ?limits s id] is ⟦ct⟧(𝔇(id)), computed from cached
     summaries by draining a {!cursor}; only nodes missing from the

@@ -350,7 +350,8 @@ let reachable_within frozen id budget =
    The engine (automaton × shard snapshot) is cached and its matrix
    sweep — metered by the requesting [gauge], resumable if it trips —
    runs under one preparation lock; after the sweep, the returned
-   cursor only reads filled slots and the frozen snapshot, so it is
+   cursor only reads filled slots and the frozen snapshot, and a later
+   sweep adds blocks without moving or rewriting filled ones, so it is
    safe to drain on any domain while later requests prepare other
    roots.  The shard index joins the engine key because two shards of
    one manifest can have equal node counts, and the snapshot node

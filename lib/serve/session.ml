@@ -55,7 +55,6 @@ type outcome =
   | Counted of int
   | First_of of Span_tuple.t option
 
-let pp_tuple t = Format.asprintf "%a" Span_tuple.pp t
 let pp_vars vs = Format.asprintf "%a" Variable.pp_set vs
 
 let err_frame e =
@@ -125,7 +124,7 @@ let stream ctx c cursor vars =
       | None -> ()
       | Some t ->
           Buffer.add_string buf "R ";
-          Buffer.add_string buf (pp_tuple t);
+          Span_tuple.add_to_buffer buf t;
           Buffer.add_char buf '\n';
           incr count;
           incr in_window;
@@ -157,7 +156,10 @@ let handle_query ctx c source ~store ~doc opts =
   | Some (Ok (Counted n)) -> Protocol.write_frame_conn c (Printf.sprintf "OK count %d" n)
   | Some (Ok (First_of None)) -> Protocol.write_frame_conn c "OK first"
   | Some (Ok (First_of (Some t))) ->
-      Protocol.write_frame_conn c (Printf.sprintf "OK first %s" (pp_tuple t))
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf "OK first ";
+      Span_tuple.add_to_buffer buf t;
+      Protocol.write_frame_conn c (Buffer.contents buf)
   | Some (Ok (Stream (cursor, vars))) -> stream ctx c cursor vars
 
 let handle_explain ctx c source =

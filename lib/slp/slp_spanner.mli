@@ -18,13 +18,20 @@
       On a c-shallow SLP each of the ≤ 2k+1 descents costs O(log |D|)
       — the paper's O(log |D|) delay (§4.2).
 
-    The engine is built on {!Spanner_core.Compiled}'s automaton:
-    node matrices live in node-indexed arrays, leaf matrices are
-    shared per {e byte class} (bytes the spanner never separates share
-    one matrix), and the bottom-up sweep is iterative, so arbitrarily
-    deep SLPs cannot overflow the stack.  Matrices are memoised per
-    node: documents sharing nodes share preprocessing, and nodes
-    created by CDE updates (§4.3) pay only for themselves.
+    The engine is built on {!Spanner_core.Compiled}'s automaton and
+    its summaries: each prepared node's pure and mixed matrices, with
+    their transposes, are one block of a {!Spanner_util.Wordrel} slab —
+    flat word buffers that the GC never scans and that never move —
+    found through a node→slot array, so a node that is never prepared
+    costs one word.  Each pair node is one call of the kernel's
+    composition, which allocates nothing; on a deterministic automaton
+    the pure matrix is a state map and only Mixed·Mixed is a general
+    product.  Leaf blocks are shared per {e byte class} (bytes the
+    spanner never separates share one block), and the bottom-up sweep
+    is iterative, so arbitrarily deep SLPs cannot overflow the stack.
+    Blocks are memoised per node: documents sharing nodes share
+    preprocessing, and nodes created by CDE updates (§4.3) pay only for
+    themselves.
 
     With a deterministic automaton — what
     {!Spanner_core.Compiled.of_evset} compiles unless its subset
@@ -36,9 +43,11 @@
 
     Concurrency: {!prepare} mutates the engine and must stay on one
     domain, but enumeration over prepared nodes only reads a frozen
-    store snapshot ({!Slp.freeze}) and filled matrix slots — a batch
-    sweeps once and then enumerates all documents in parallel
-    ({!Spanner_engine.Plan.relations}). *)
+    store snapshot ({!Slp.freeze}) and filled matrix slots, which a
+    later {!prepare} never moves or rewrites — a batch sweeps once and
+    then enumerates all documents in parallel
+    ({!Spanner_engine.Plan.relations}), and serve drains one root's
+    cursor while another request prepares the next. *)
 
 open Spanner_core
 
@@ -66,9 +75,9 @@ val of_frozen : Compiled.t -> Slp.frozen -> engine
 (** [vars engine] is the spanner's variable set. *)
 val vars : engine -> Variable.Set.t
 
-(** [prepare engine id] forces the matrices of every node reachable
-    from [id] — the preprocessing phase, O(number of new nodes)
-    boolean matrix products, by iterative bottom-up sweep. *)
+(** [prepare engine id] forces the summary block of every node
+    reachable from [id] — the preprocessing phase, one kernel
+    composition per new pair node, by iterative bottom-up sweep. *)
 val prepare : engine -> Slp.id -> unit
 
 (** [prepare_gauge g engine id] is {!prepare} metered by the caller's
@@ -93,8 +102,8 @@ val nondeterministic : engine -> bool
     construction — and each {!cursor_next} resumes it until the next
     run completes.  There is no fiber, no handler frame, and no
     per-pull context switch; delay between tuples is bounded by the
-    descent work alone, which the per-node transposed matrices reduce
-    to byte-parallel candidate scans ({!Spanner_util.Bitset.first_common_from}).
+    descent work alone, which the per-node transposed rows reduce to
+    word-parallel candidate scans ({!Spanner_util.Wordrel.first_split}).
 
     Runs come out in the same order as {!Spanner_incr.Incr.cursor}'s
     over the same store and automaton.  A cursor only reads prepared
@@ -115,7 +124,8 @@ val cursor : engine -> Slp.id -> cursor
 val cursor_next : cursor -> Span_tuple.t option
 
 (** [cardinal engine id] counts accepting runs by dynamic programming
-    over run counts — no enumeration, O(|S|·|Q|²) after preparation.
+    over run counts — no enumeration, O(|S|·|Q|²) after preparation,
+    with split states found by the same word scans as {!cursor}.
     Equals |⟦e⟧(𝔇(id))| when the automaton is deterministic.  Only
     reads a prepared engine (the memo lives for the call), so domains
     may count concurrently once [id] is prepared.
@@ -139,5 +149,6 @@ val to_relation : engine -> Slp.id -> Span_relation.t
 val tuple_count : ?limits:Spanner_util.Limits.t -> engine -> Slp.id -> int
 
 (** [matrices_computed engine] is the number of memoised node
-    matrices (preprocessing bookkeeping for the experiments). *)
+    matrices, two (pure and mixed) per filled node, leaves included
+    (preprocessing bookkeeping for the experiments). *)
 val matrices_computed : engine -> int

@@ -26,13 +26,6 @@ let mul a b =
   done;
   r
 
-let mul_add ~into a b =
-  if into.n <> a.n || a.n <> b.n then invalid_arg "Bitmatrix.mul_add: dimension mismatch";
-  for i = 0 to a.n - 1 do
-    let row_i = into.rows.(i) in
-    Bitset.iter (fun k -> ignore (Bitset.union_into ~into:row_i b.rows.(k))) a.rows.(i)
-  done
-
 let union a b =
   if a.n <> b.n then invalid_arg "Bitmatrix.union: dimension mismatch";
   let r = create a.n in
@@ -56,51 +49,6 @@ let transitive_closure m =
       if Bitset.mem r.rows.(i) k then ignore (Bitset.union_into ~into:r.rows.(i) r.rows.(k))
     done
   done;
-  r
-
-(* 8×8 bit-block transpose by delta swaps, on an OCaml int.  Bit
-   [8k + c] is block cell (row k, col c); cell (7,7) would live at bit
-   63, which a 63-bit int cannot hold — the caller keeps it out of [x]
-   and moves it separately.  None of the masks/shifts below let bit 62
-   overflow or read the missing bit 63 into a kept position. *)
-let transpose8 x =
-  let t = (x lxor (x lsr 7)) land 0x00AA00AA00AA00AA in
-  let x = x lxor t lxor (t lsl 7) in
-  let t = (x lxor (x lsr 14)) land 0x0000CCCC0000CCCC in
-  let x = x lxor t lxor (t lsl 14) in
-  let t = (x lxor (x lsr 28)) land 0x00000000F0F0F0F0 in
-  x lxor t lxor (t lsl 28)
-
-let transpose m =
-  let r = create m.n in
-  if m.n > 0 then begin
-    let nb = Bitset.byte_length m.rows.(0) in
-    for bi = 0 to nb - 1 do
-      let rmax = min 7 (m.n - 1 - (bi lsl 3)) in
-      for bj = 0 to nb - 1 do
-        let cmax = min 7 (m.n - 1 - (bj lsl 3)) in
-        (* gather: byte k of [w] = source row 8bi+k, byte bj *)
-        let w = ref 0 in
-        let top = ref 0 in
-        for k = 0 to rmax do
-          let b = Bitset.get_byte m.rows.((bi lsl 3) lor k) bj in
-          if k = 7 then begin
-            top := b lsr 7;
-            w := !w lor ((b land 0x7F) lsl 56)
-          end
-          else w := !w lor (b lsl (k lsl 3))
-        done;
-        if !w <> 0 || !top <> 0 then begin
-          let x = transpose8 !w in
-          for c = 0 to cmax do
-            let b = (x lsr (c lsl 3)) land 0xFF in
-            let b = if c = 7 && !top <> 0 then b lor 0x80 else b in
-            if b <> 0 then Bitset.set_byte r.rows.((bj lsl 3) lor c) bi b
-          done
-        end
-      done
-    done
-  end;
   r
 
 let apply_row m s =

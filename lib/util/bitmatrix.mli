@@ -30,13 +30,6 @@ val row : t -> int -> Bitset.t
     entry [(i,j)] is true iff some [k] has [a(i,k) && b(k,j)]. *)
 val mul : t -> t -> t
 
-(** [mul_add ~into a b] accumulates the product into an existing
-    matrix: [into := into ∪ a·b].  The batch-product primitive of the
-    SLP sweep — a mixed matrix [Mixed_A·Full_B ∪ Pure_A·Mixed_B] is
-    three [mul_add]s into one accumulator, with no temporary union
-    matrices.  [into] must be a different matrix from [a] and [b]. *)
-val mul_add : into:t -> t -> t -> unit
-
 (** [union a b] is the entrywise disjunction. *)
 val union : t -> t -> t
 
@@ -47,16 +40,6 @@ val transitive_closure : t -> t
 (** [apply_row m s] is the set [{ j | ∃ i ∈ s, m(i,j) }]:
     the image of the state set [s] under one matrix step. *)
 val apply_row : t -> Bitset.t -> Bitset.t
-
-(** [transpose m] is the transposed matrix: [get (transpose m) i j =
-    get m j i].  A row of the transpose is a {e column} of [m], so a
-    consumer that needs columns as bitsets (the native SLP enumerator
-    intersects a left child's row with a right child's column per
-    descent step) pays one transpose at preprocessing time instead of
-    [dim m] probes per access.  Implemented as 8×8 bit-block transposes
-    — O(n²/64) word work, cheaper than re-deriving the transpose as a
-    reversed matrix product. *)
-val transpose : t -> t
 
 (** [equal a b] is entrywise equality. *)
 val equal : t -> t -> bool

@@ -57,40 +57,6 @@ val of_list : int -> int list -> t
 (** [choose s] is the smallest set bit, or [None] if empty. *)
 val choose : t -> int option
 
-(** [first_from s i] is the smallest set bit [>= i], or [-1] if none.
-    Byte-parallel: zero bytes are skipped eight candidates at a time,
-    so scanning a sparse row costs O(capacity/8) rather than
-    O(capacity) membership probes. *)
-val first_from : t -> int -> int
-
-(** [first_common_from a b i] is the smallest [j >= i] set in both [a]
-    and [b], or [-1] — [first_from (inter a b) i] without building the
-    intersection.  The candidate-skipping step of the native SLP
-    enumerator ({!Spanner_slp.Slp_spanner}): one call finds the next
-    viable split state of a grammar node. *)
-val first_common_from : t -> t -> int -> int
-
-(** [first_split_from a b c d i] is the smallest [j >= i] set in
-    [(a ∧ c) ∨ (a ∧ d) ∨ (b ∧ d)], or [-1] — the split-candidate scan
-    of matrix enumeration, fused so each scanned window is read once
-    instead of six times across three {!first_common_from} passes.
-    @raise Invalid_argument on a capacity mismatch. *)
-val first_split_from : t -> t -> t -> t -> int -> int
-
-(** {2 Raw byte access}
-
-    Byte [k] holds bits [8k .. 8k+7], low bit first ([byte_length]
-    bytes total).  For byte-parallel algorithms that outgrow the
-    element-wise API (e.g. {!Bitmatrix.transpose}'s 8×8 block
-    transpose); not intended for general use. *)
-
-val byte_length : t -> int
-val get_byte : t -> int -> int
-
-(** [set_byte s k b] overwrites byte [k] with [b] (bits [8k..8k+7]).
-    The caller must keep bits at or above [capacity s] clear. *)
-val set_byte : t -> int -> int -> unit
-
 (** [clear s] unsets every bit. *)
 val clear : t -> unit
 

@@ -20,13 +20,16 @@
    - A deep-chain regression: pulling from a 200k-deep left-comb SLP
      must not overflow the stack (the machine is loop-based; the CPS
      enumerator recursed per level).
-   - The word-level primitives under the machine: Bitmatrix.transpose
-     and Bitset.first_from / first_common_from against naive scans. *)
+   - The word-level kernel under the machines: Wordrel's composition
+     against Bitmatrix products and unions, and its split and ending
+     scans against naive ones, in all three regimes of its layout
+     (state maps in one-word rows, state maps in multi-word rows, and
+     general rows). *)
 
 open Spanner_core
 module Charset = Spanner_fa.Charset
 module Limits = Spanner_util.Limits
-module Bitset = Spanner_util.Bitset
+module Wordrel = Spanner_util.Wordrel
 module Bitmatrix = Spanner_util.Bitmatrix
 module Slp = Spanner_slp.Slp
 module Builder = Spanner_slp.Builder
@@ -347,80 +350,102 @@ let test_deep_chain_pull () =
     got
 
 (* ------------------------------------------------------------------ *)
-(* Word-level primitives *)
+(* The composition kernel against its oracle *)
 
-let gen_bitset =
-  QCheck2.Gen.(
-    1 -- 80 >>= fun n ->
-    list_size (0 -- n) (0 -- (n - 1)) >>= fun xs -> return (n, xs))
-
-let prop_first_from =
-  QCheck2.Test.make ~name:"Bitset.first_from ≡ naive scan" ~count:500 gen_bitset
-    ~print:(fun (n, xs) -> Printf.sprintf "n=%d xs=[%s]" n (String.concat ";" (List.map string_of_int xs)))
-    (fun (n, xs) ->
-      let s = Bitset.of_list n xs in
-      let naive i =
-        let rec go j = if j >= n then -1 else if Bitset.mem s j then j else go (j + 1) in
-        go (max i 0)
+(* Regime 0: state maps with at most 63 states (one-word rows); 1: state
+   maps with 64–130 states (multi-word rows); 2: general rows, up to 130
+   states (the nondeterministic fallback).  Each case builds two random
+   blocks with their Bitmatrix twins, composes them, and compares every
+   entry and every split scan. *)
+let prop_kernel =
+  QCheck2.Test.make ~name:"Wordrel.compose ≡ Bitmatrix.mul/union; word scans ≡ naive" ~count:300
+    QCheck2.Gen.(pair (0 -- 2) (0 -- 1_000_000))
+    ~print:(fun (regime, seed) -> Printf.sprintf "regime %d, seed %d" regime seed)
+    (fun (regime, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let n =
+        match regime with
+        | 0 -> 1 + Random.State.int rng 63
+        | 1 -> 64 + Random.State.int rng 67
+        | _ -> 1 + Random.State.int rng 130
       in
-      List.for_all (fun i -> Bitset.first_from s i = naive i) (List.init (n + 2) (fun i -> i - 1)))
-
-let prop_first_common_from =
-  QCheck2.Test.make ~name:"Bitset.first_common_from ≡ first_from of the intersection"
-    ~count:500
-    QCheck2.Gen.(
-      gen_bitset >>= fun (n, xs) ->
-      list_size (0 -- n) (0 -- (n - 1)) >>= fun ys -> return (n, xs, ys))
-    ~print:(fun (n, _, _) -> Printf.sprintf "n=%d" n)
-    (fun (n, xs, ys) ->
-      let a = Bitset.of_list n xs and b = Bitset.of_list n ys in
-      let i = Bitset.inter a b in
-      List.for_all
-        (fun k -> Bitset.first_common_from a b k = Bitset.first_from i k)
-        (List.init (n + 2) (fun k -> k - 1)))
-
-let prop_first_split_from =
-  QCheck2.Test.make ~name:"Bitset.first_split_from ≡ first_from of (a∧c)∨(a∧d)∨(b∧d)"
-    ~count:500
-    QCheck2.Gen.(
-      gen_bitset >>= fun (n, xs) ->
-      list_size (0 -- n) (0 -- (n - 1)) >>= fun bs ->
-      list_size (0 -- n) (0 -- (n - 1)) >>= fun cs ->
-      list_size (0 -- n) (0 -- (n - 1)) >>= fun ds -> return (n, xs, bs, cs, ds))
-    ~print:(fun (n, _, _, _, _) -> Printf.sprintf "n=%d" n)
-    (fun (n, xs, bs, cs, ds) ->
-      let a = Bitset.of_list n xs
-      and b = Bitset.of_list n bs
-      and c = Bitset.of_list n cs
-      and d = Bitset.of_list n ds in
-      let reference = Bitset.copy (Bitset.inter a c) in
-      ignore (Bitset.union_into ~into:reference (Bitset.inter a d));
-      ignore (Bitset.union_into ~into:reference (Bitset.inter b d));
-      List.for_all
-        (fun k -> Bitset.first_split_from a b c d k = Bitset.first_from reference k)
-        (List.init (n + 2) (fun k -> k - 1)))
-
-let gen_matrix =
-  QCheck2.Gen.(
-    1 -- 70 >>= fun n ->
-    list_size (0 -- (2 * n)) (pair (0 -- (n - 1)) (0 -- (n - 1))) >>= fun cells ->
-    return (n, cells))
-
-let prop_transpose =
-  QCheck2.Test.make ~name:"Bitmatrix.transpose: entries swap, involutive" ~count:500
-    gen_matrix
-    ~print:(fun (n, cells) -> Printf.sprintf "n=%d cells=%d" n (List.length cells))
-    (fun (n, cells) ->
-      let m = Bitmatrix.create n in
-      List.iter (fun (i, j) -> Bitmatrix.set m i j) cells;
-      let t = Bitmatrix.transpose m in
-      let swapped = ref true in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if Bitmatrix.get t i j <> Bitmatrix.get m j i then swapped := false
+      let functional = regime < 2 in
+      let density = Random.State.float rng 0.3 in
+      let coin pr = Random.State.float rng 1.0 < pr in
+      let slab = Wordrel.create ~states:n ~functional 1 in
+      let block () =
+        let s = Wordrel.alloc slab in
+        let pure = Bitmatrix.create n and mixed = Bitmatrix.create n in
+        for p = 0 to n - 1 do
+          if functional then begin
+            if coin 0.8 then begin
+              let q = Random.State.int rng n in
+              Wordrel.set_pure slab s p q;
+              Bitmatrix.set pure p q
+            end
+          end
+          else
+            for q = 0 to n - 1 do
+              if coin density then begin
+                Wordrel.set_pure slab s p q;
+                Bitmatrix.set pure p q
+              end
+            done;
+          for q = 0 to n - 1 do
+            if coin density then begin
+              Wordrel.set_mixed slab s p q;
+              Bitmatrix.set mixed p q
+            end
+          done
+        done;
+        Wordrel.seal slab s;
+        (s, pure, mixed)
+      in
+      let l, pl, ml = block () in
+      let r, pr, mr = block () in
+      (* the product lands in the same slab or, as Incr's do, in another *)
+      let dst = if coin 0.5 then slab else Wordrel.create ~states:n ~functional 1 in
+      let d = Wordrel.alloc dst in
+      Wordrel.compose slab l slab r dst d;
+      let pd = Bitmatrix.mul pl pr in
+      let md = Bitmatrix.union (Bitmatrix.mul ml (Bitmatrix.union pr mr)) (Bitmatrix.mul pl mr) in
+      let ok = ref true in
+      for p = 0 to n - 1 do
+        for q = 0 to n - 1 do
+          if Wordrel.pure_mem dst d p q <> Bitmatrix.get pd p q then ok := false;
+          if Wordrel.mixed_mem dst d p q <> Bitmatrix.get md p q then ok := false
         done
       done;
-      !swapped && Bitmatrix.equal (Bitmatrix.transpose t) m)
+      (* split scans on the operands and on the product (whose
+         transposes [compose] derived), from random starting states *)
+      let naive_split (pl, ml) (pr, mr) p q from =
+        let rec go mid =
+          if mid >= n then -1
+          else if
+            (Bitmatrix.get ml p mid && (Bitmatrix.get pr mid q || Bitmatrix.get mr mid q))
+            || (Bitmatrix.get pl p mid && Bitmatrix.get mr mid q)
+          then mid
+          else go (mid + 1)
+        in
+        go (max from 0)
+      in
+      let ends = Array.init n (fun _ -> coin 0.5) in
+      let row = Wordrel.row ~states:n (fun q -> ends.(q)) in
+      for _ = 1 to 40 do
+        let p = Random.State.int rng n and q = Random.State.int rng n in
+        let from = Random.State.int rng (n + 2) - 1 in
+        if Wordrel.first_split slab l p slab r q from <> naive_split (pl, ml) (pr, mr) p q from then
+          ok := false;
+        if Wordrel.first_split dst d p dst d q from <> naive_split (pd, md) (pd, md) p q from then
+          ok := false;
+        let rec naive_end q =
+          if q >= n then -1
+          else if ends.(q) && (Bitmatrix.get pd p q || Bitmatrix.get md p q) then q
+          else naive_end (q + 1)
+        in
+        if Wordrel.first_in_row dst d p row from <> naive_end (max from 0) then ok := false
+      done;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 
@@ -444,11 +469,5 @@ let () =
           tc "dedup burns fuel" `Quick test_dedup_burns_fuel;
         ] );
       ( "robustness", [ tc "200k-deep chain pull" `Quick test_deep_chain_pull ] );
-      ( "primitives",
-        [
-          QCheck_alcotest.to_alcotest prop_first_from;
-          QCheck_alcotest.to_alcotest prop_first_common_from;
-          QCheck_alcotest.to_alcotest prop_first_split_from;
-          QCheck_alcotest.to_alcotest prop_transpose;
-        ] );
+      ("primitives", [ QCheck_alcotest.to_alcotest prop_kernel ]);
     ]

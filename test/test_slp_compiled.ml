@@ -10,6 +10,8 @@
    - Plan.relations over a Db: `Compressed = `Decompress = per-file
      Compiled, deterministic across domain counts, partial-failure
      semantics, and metered decompression on the `Decompress path;
+   - a cursor drained on one domain while another prepares more roots
+     of the same engine;
    - the deep-SLP regression: preparation and decompression survive a
      10⁶-deep chain SLP (the recursive engine overflowed the stack). *)
 
@@ -18,6 +20,8 @@ open Spanner_slp
 module Limits = Spanner_util.Limits
 module Cursor = Spanner_engine.Cursor
 module Plan = Spanner_engine.Plan
+module Arena = Spanner_store.Arena
+module Incr = Spanner_incr.Incr
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -219,6 +223,91 @@ let prop_cde_edited =
           Span_relation.equal (Slp_spanner.to_relation engine id) (Compiled.eval ct expected))
 
 (* ------------------------------------------------------------------ *)
+(* Every engine on every store against the text, in the three regimes
+   of the summary layout: a deterministic automaton of at most 63
+   states (one-word rows), a dictionary spanner whose deterministic
+   automaton has more (multi-word rows, like E21's), and a union with
+   [ambiguous] (the automaton as built, with general pure relations). *)
+
+let dict_words =
+  [ "babbbbbaba"; "abaabbabbb"; "aaaabaaaba"; "aababbbbaa"; "aabaaaabba"; "baabbaabab"; "bbaabbbaab"; "ababbaaaba" ]
+
+let dictionary =
+  let word w = Regex_formula.parse w in
+  let pad = Regex_formula.star (Regex_formula.chars (Spanner_fa.Charset.of_string "ab")) in
+  let words = List.fold_left (fun acc w -> Regex_formula.alt acc (word w)) (word (List.hd dict_words)) (List.tl dict_words) in
+  Regex_formula.concat pad (Regex_formula.concat (Regex_formula.bind (v "x") words) pad)
+
+let gen_text =
+  QCheck2.Gen.(
+    let filler = string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 6) in
+    filler >>= fun a ->
+    oneofl dict_words >>= fun w ->
+    filler >>= fun b ->
+    oneofl ("" :: dict_words) >>= fun w' ->
+    filler >>= fun c -> return (a ^ w ^ b ^ w' ^ c))
+
+let prop_engines_against_text =
+  QCheck2.Test.make
+    ~name:"every engine on heap, frozen, packed and CDE-edited stores = compiled on the text"
+    ~count:120
+    QCheck2.Gen.(
+      0 -- 2 >>= fun regime ->
+      gen_formula >>= fun f ->
+      gen_text >>= fun d1 ->
+      gen_text >>= fun d2 ->
+      gen_cde >>= fun e -> return (regime, f, d1, d2, e))
+    ~print:(fun (regime, f, d1, d2, e) ->
+      Format.asprintf "regime %d, %s, d1=%S d2=%S, %a" regime (Regex_formula.to_string f) d1 d2
+        Cde.pp e)
+    (fun (regime, f, d1, d2, e) ->
+      let ct =
+        Compiled.of_formula
+          (match regime with 0 -> f | 1 -> dictionary | _ -> Regex_formula.alt f ambiguous)
+      in
+      (match regime with
+      | 1 -> assert (Compiled.is_deterministic ct && Compiled.states ct > 63)
+      | 2 -> assert (not (Compiled.is_deterministic ct))
+      | _ -> ());
+      let db = Doc_db.create () in
+      ignore (Doc_db.add_string db "d1" d1);
+      ignore (Doc_db.add_string db "d2" d2);
+      let lookup = function "d1" -> d1 | "d2" -> d2 | _ -> raise Not_found in
+      (match Cde.reference_eval lookup e with
+      | exception Invalid_argument _ -> ()
+      | "" -> ()
+      | _ -> ignore (Cde.materialize db "edited" e));
+      let store = Doc_db.store db in
+      let docs = List.map (fun n -> (n, Doc_db.find db n)) (Doc_db.names db) in
+      let drain next = List.of_seq (Seq.of_dispenser next) in
+      let native engine id =
+        Slp_spanner.prepare engine id;
+        let cur = Slp_spanner.cursor engine id in
+        drain (fun () -> Slp_spanner.cursor_next cur)
+      in
+      let exact runs text =
+        Span_relation.equal (Span_relation.of_list (Compiled.vars ct) runs) (Compiled.eval ct text)
+      in
+      let heap = Slp_spanner.of_compiled ct store in
+      let frozen = Slp_spanner.of_frozen ct (Slp.freeze store) in
+      let arena = Arena.of_string (Arena.pack_bytes store docs) in
+      let packed = Slp_spanner.of_frozen ct (Arena.frozen_view arena) in
+      let session = Incr.create ct db in
+      List.for_all
+        (fun (name, id) ->
+          let text = Slp.to_string store id in
+          let runs = native heap id in
+          let incr =
+            let cur = Incr.cursor session id in
+            drain (fun () -> Incr.cursor_next cur)
+          in
+          exact runs text
+          && List.equal Span_tuple.equal runs incr
+          && List.equal Span_tuple.equal runs (native frozen id)
+          && List.equal Span_tuple.equal runs (native packed (Option.get (Arena.find arena name))))
+        docs)
+
+(* ------------------------------------------------------------------ *)
 (* Plan.relations over a Db: engines agree, parallel determinism *)
 
 let prop_eval_all_engines_agree =
@@ -367,6 +456,48 @@ let frozen_snapshot () =
   | _ -> Alcotest.fail "11 bytes must exceed 5 fuel"
   | exception Limits.Spanner_error (Limits.Limit_exceeded { which = Limits.Fuel; _ }) -> ()
 
+(* A filled block never moves: a cursor drains on one domain while
+   another prepares further roots of the same engine, growing its slab
+   by several chunks (serve's workers share engines this way). *)
+let drain_while_preparing () =
+  let ct = Compiled.of_formula (Regex_formula.parse "[abc]*!x{abca}[abc]*") in
+  let db = Doc_db.create () in
+  let rng = Random.State.make [| 7 |] in
+  let texts = Array.init 8 (fun _ -> String.init 3000 (fun _ -> "abc".[Random.State.int rng 3])) in
+  let roots = Array.mapi (fun i t -> Doc_db.add_string db (string_of_int i) t) texts in
+  let engine = Slp_spanner.of_compiled ct (Doc_db.store db) in
+  Slp_spanner.prepare engine roots.(0);
+  let drain () =
+    let cur = Slp_spanner.cursor engine roots.(0) in
+    List.of_seq (Seq.of_dispenser (fun () -> Slp_spanner.cursor_next cur))
+  in
+  let expected = drain () in
+  let before = Slp_spanner.matrices_computed engine in
+  let finished = Atomic.make false in
+  let preparer =
+    Domain.spawn (fun () ->
+        Array.iteri (fun i r -> if i > 0 then Slp_spanner.prepare engine r) roots;
+        Atomic.set finished true)
+  in
+  let drains = ref 0 and wrong = ref 0 in
+  let rec loop () =
+    if not (List.equal Span_tuple.equal (drain ()) expected) then incr wrong;
+    incr drains;
+    if not (Atomic.get finished) then loop ()
+  in
+  loop ();
+  Domain.join preparer;
+  check Alcotest.int (Printf.sprintf "every drain of %d equal" !drains) 0 !wrong;
+  check Alcotest.bool "the other roots filled hundreds of blocks" true
+    (Slp_spanner.matrices_computed engine - before > 2 * 512);
+  Array.iteri
+    (fun i r ->
+      check Alcotest.bool
+        (Printf.sprintf "root %d = compiled on its text" i)
+        true
+        (Span_relation.equal (Slp_spanner.to_relation engine r) (Compiled.eval ct texts.(i))))
+    roots
+
 (* ------------------------------------------------------------------ *)
 (* Deep-SLP regression (stack safety) *)
 
@@ -411,6 +542,7 @@ let () =
             prop_of_compiled_nondeterministic;
             prop_shared_store;
             prop_cde_edited;
+            prop_engines_against_text;
             prop_eval_all_engines_agree;
           ] );
       ( "sharing",
@@ -424,5 +556,6 @@ let () =
           tc "decompression is metered" `Quick decompression_is_metered;
           tc "frozen snapshots" `Quick frozen_snapshot;
         ] );
+      ("domains", [ tc "drain while another domain prepares" `Quick drain_while_preparing ]);
       ("deep", [ tc "10^6-deep SLP" `Quick deep_slp_regression ]);
     ]
